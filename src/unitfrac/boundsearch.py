@@ -217,6 +217,8 @@ def simplify_pattern(raw: MonomialInequality) -> MonomialInequality:
 # partitioning into defining-set groups
 
 
+# Cached: a tuple of frozensets is immutable, so callers can share it.
+@lru_cache(maxsize=None)
 def default_library(convention: str = "standard") -> Tuple[FrozenSet[str], ...]:
     """Minimal defining sets up to size 3 plus the six catalogued sets."""
     sets = set(minimal_defining_sets(3, convention=convention))

@@ -121,6 +121,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.n < 1:
+        raise InputError("n must be positive, got %d" % args.n)
     values = _parse_solution(args.solution)
     dec = decompose(values, Fraction(args.m, args.n),
                     convention=args.z_convention)

@@ -26,26 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import params as P
-from .arith import gcd, gcd_all
+from .arith import gcd
 from .errors import InputError, IntegralityError, InvariantError
-from .params import CONVENTIONS, check_convention
-
-# All nonempty subsets of {1,2,3,4}, largest first: the layered-gcd pass
-# peels factors off from the top of the subset lattice downwards.
-_ALL_SUBSETS: Tuple[Tuple[int, ...], ...] = tuple(
-    sorted(
-        (J for r in range(1, 5) for J in combinations(P.INDICES, r)),
-        key=lambda J: (-len(J), J),
-    )
-)
-_STRICT_SUPERSETS: Dict[Tuple[int, ...], Tuple[str, ...]] = {
-    J: tuple(P.x_name(K) for K in _ALL_SUBSETS if set(J) < set(K))
-    for J in _ALL_SUBSETS
-}
+from .params import check_convention
 
 # Incomparable index-subset pairs among the 11 sets with |J| >= 2: for these
 # the corresponding x-values are coprime on any valid decomposition.
@@ -55,12 +43,71 @@ INCOMPARABLE_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
     if not set(J) <= set(K) and not set(K) <= set(J)
 )
 
+# The values layered_gcds(t1, t2, t3, t4) returns: the relative gcds of the
+# cofactors, the eleven x-parameters in canonical order, then x1..x4.
+X_VALUES: Tuple[str, ...] = P.X_PARAMS + tuple(P.x_name((i,)) for i in P.INDICES)
+# The names of the values pattern_data returns, in order.
+PATTERN_ARGS: Tuple[str, ...] = (
+    "n1", "n2", "n3", "n4", "nn1", "nn2", "nn3", "nn4") + P.D_SYMBOLS
+
+
+def product_expr(symbols) -> str:
+    """Python expression for the product of `symbols` ("1" if none)."""
+    return "*".join(symbols) if symbols else "1"
+
+
+def function_source(name: str, args: Sequence[str], body: List[str]) -> str:
+    """Source of a generated function with the given argument names."""
+    lines = ["def %s(%s):" % (name, ", ".join(args))]
+    lines += ["    " + line for line in body]
+    return "\n".join(lines) + "\n"
+
+
+def _define(name: str, args: Sequence[str], body: List[str],
+            namespace: Dict[str, object]) -> Callable:
+    exec(compile(function_source(name, args, body), "<%s>" % name, "exec"),
+         namespace)
+    return namespace[name]
+
 
 def pattern_of(denominators: Sequence[int], n: int) -> Tuple[int, ...]:
     """Componentwise gcd of the denominators with n."""
     if n <= 0:
         raise InputError("n must be positive, got %d" % n)
     return tuple(gcd(a, n) for a in denominators)
+
+
+def pattern_data(n: int, pattern: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The pattern n_i, then nn_i = n/n_i, then d_J = gcd(nn_i : i in J)."""
+    nn = tuple(n // ni for ni in pattern)
+    return pattern + nn + tuple(
+        math.gcd(*(nn[i - 1] for i in J)) for J in P.Z_SUBSETS
+    )
+
+
+def _layered_gcd_lines() -> List[str]:
+    # From x1234 down the subset lattice: x_J is gcd(t_i : i in J) with the
+    # x_K of all strict supersets K of J, each computed before J, divided out.
+    layers = (P.QUAD,) + P.TRIPLES + P.PAIRS + tuple((i,) for i in P.INDICES)
+    lines: List[str] = []
+    for J in layers:
+        above = [P.x_name(K) for K in layers if set(J) < set(K)]
+        lines += [
+            "%s, _r = divmod(_gcd(%s), %s)"
+            % (P.x_name(J), ", ".join("t%d" % i for i in J),
+               product_expr(above)),
+            "if _r:",
+            "    raise _InvariantError('layered gcd not exact at %s for "
+            "cofactors %%s' %% ((t1, t2, t3, t4),))" % P.x_name(J),
+        ]
+    lines.append("return %s" % ", ".join(X_VALUES))
+    return lines
+
+
+layered_gcds: Callable[..., Tuple[int, ...]] = _define(
+    "layered_gcds", ("t1", "t2", "t3", "t4"), _layered_gcd_lines(),
+    {"_gcd": math.gcd, "_InvariantError": InvariantError},
+)
 
 
 def relative_gcds(t: Sequence[int]) -> Dict[str, int]:
@@ -74,18 +121,59 @@ def relative_gcds(t: Sequence[int]) -> Dict[str, int]:
     values = tuple(t)
     if len(values) != 4 or any(v <= 0 for v in values):
         raise InputError("expected four positive cofactors, got %r" % (values,))
-    x: Dict[str, int] = {}
-    for J in _ALL_SUBSETS:
-        g = gcd_all(values[i - 1] for i in J)
-        above = math.prod(x[name] for name in _STRICT_SUPERSETS[J])
-        q, r = divmod(g, above)
-        if r:
-            raise InvariantError(
-                "layered gcd not exact at %s for cofactors %s"
-                % (P.x_name(J), values)
-            )
-        x[P.x_name(J)] = q
-    return x
+    return dict(zip(X_VALUES, layered_gcds(*values)))
+
+
+def quotient_lines(
+    convention: str, fail: Callable[[str, str, str], List[str]]
+) -> Tuple[List[str], List[str]]:
+    """Statements binding term1..term4, mT and the ten z_J, with their checks.
+
+    They read m, nn1..nn4, d_J and x_J.  `fail(check, num, den)` gives the
+    statements run when a check fails: `check` is "master" (num and den are
+    then the two sides) or the z_J whose quotient num/den is not integral.
+    The master lines and the quotient lines are returned apart.
+    """
+    check_convention(convention)
+    master = ["term%d = nn%d * %s" % (i, i, product_expr(P.TERM_XPART[i]))
+              for i in P.INDICES]
+    master += ["mT = m * %s" % product_expr(P.X_PARAMS),
+               "if mT != term1 + term2 + term3 + term4:"]
+    master += ["    " + line
+               for line in fail("master", "mT", "term1 + term2 + term3 + term4")]
+    quotients: List[str] = []
+    for J in P.Z_SUBSETS:
+        den = [P.d_name(J)]
+        if len(J) == 2:
+            kl = P.x_name(P.complement_pair(J))
+            den += [P.x_name(J), kl] + ([kl] if convention == "reduced" else [])
+        else:
+            den += [P.x_name(p) for p in combinations(J, 2)] + [P.x_name(J)]
+        num, den = " + ".join("term%d" % i for i in J), product_expr(den)
+        quotients += ["%s, _r = divmod(%s, %s)" % (P.z_name(J), num, den),
+                      "if _r:"]
+        quotients += ["    " + line for line in fail(P.z_name(J), num, den)]
+    return master, quotients
+
+
+def _raise_lines(check: str, num: str, den: str) -> List[str]:
+    if check == "master":
+        return ["raise _InvariantError("
+                "'master equation violated for %s' % (a,))"]
+    return ["raise _IntegralityError(%r, %s, %s, a)" % (check, num, den)]
+
+
+@lru_cache(maxsize=None)
+def _quotient_kernel(convention: str) -> Callable:
+    """(a, m, *pattern_data, **relative_gcds) -> (terms, z in Z_PARAMS order)"""
+    master, quotients = quotient_lines(convention, _raise_lines)
+    body = master + quotients + [
+        "return (term1, term2, term3, term4), (%s)" % ", ".join(P.Z_PARAMS)]
+    return _define(
+        "_quotients", ("a", "m") + PATTERN_ARGS + X_VALUES, body,
+        {"_InvariantError": InvariantError,
+         "_IntegralityError": IntegralityError},
+    )
 
 
 @dataclass(frozen=True)
@@ -119,10 +207,7 @@ class Decomposition:
         term1..term4 (the four summands).
         """
         env: Dict[str, int] = {"m": self.m, "n": self.n}
-        for i in P.INDICES:
-            env["n%d" % i] = self.pattern[i - 1]
-            env["nn%d" % i] = self.n // self.pattern[i - 1]
-        env.update(self.d)
+        env.update(zip(PATTERN_ARGS, pattern_data(self.n, self.pattern)))
         for name in P.X_PARAMS:
             env[name] = self.x[name]
         env.update(self.z)
@@ -162,38 +247,8 @@ def decompose(
             raise InvariantError(
                 "singleton x%d = %d != 1 for %s" % (i, x["x%d" % i], a)
             )
-
-    nn = tuple(n // ni for ni in pattern)
-    d = {P.d_name(J): gcd_all(nn[i - 1] for i in J) for J in P.Z_SUBSETS}
-    terms = tuple(
-        nn[i - 1] * math.prod(x[name] for name in P.TERM_XPART[i])
-        for i in P.INDICES
-    )
-    total = math.prod(x[name] for name in P.X_PARAMS)
-    if m * total != sum(terms):
-        raise InvariantError("master equation violated for %s" % (a,))
-
-    z: Dict[str, int] = {}
-    for ij in P.PAIRS:
-        i, j = ij
-        k, l = P.complement_pair(ij)
-        num = terms[i - 1] + terms[j - 1]
-        den = d[P.d_name(ij)] * x[P.x_name((k, l))] * x[P.x_name(ij)]
-        if convention == "reduced":
-            den *= x[P.x_name((k, l))]
-        q, r = divmod(num, den)
-        if r:
-            raise IntegralityError(P.z_name(ij), num, den, a)
-        z[P.z_name(ij)] = q
-    for T in P.TRIPLES:
-        num = sum(terms[i - 1] for i in T)
-        den = d[P.d_name(T)] * math.prod(
-            x[P.x_name(p)] for p in combinations(T, 2)
-        ) * x[P.x_name(T)]
-        q, r = divmod(num, den)
-        if r:
-            raise IntegralityError(P.z_name(T), num, den, a)
-        z[P.z_name(T)] = q
+    data = pattern_data(n, pattern)
+    terms, z = _quotient_kernel(convention)(a, m, *data, **x)
 
     return Decomposition(
         denominators=a,
@@ -201,8 +256,8 @@ def decompose(
         pattern=pattern,
         t=t,
         x=x,
-        d=d,
-        z=z,
+        d=dict(zip(P.D_SYMBOLS, data[-len(P.D_SYMBOLS):])),
+        z=dict(zip(P.Z_PARAMS, z)),
         terms=terms,
         convention=convention,
     )

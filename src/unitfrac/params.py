@@ -62,18 +62,6 @@ CONTAINING = {
 }
 
 
-def param_kind(p: str) -> str:
-    return p[0]
-
-
-def param_indices(p: str) -> Tuple[int, ...]:
-    return tuple(int(c) for c in p[1:])
-
-
-def is_param(p: str) -> bool:
-    return p in PARAM_INDEX
-
-
 def params_to_mask(names: Iterable[str]) -> int:
     mask = 0
     for p in names:

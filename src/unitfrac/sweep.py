@@ -25,21 +25,18 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import params as P
 from .catalog import InequalityTemplate, Term, build_inequalities, build_rules
-from .decomposition import INCOMPARABLE_PAIRS, relative_gcds
+from .decomposition import (INCOMPARABLE_PAIRS, PATTERN_ARGS, X_VALUES,
+                            function_source, layered_gcds, pattern_data,
+                            product_expr, quotient_lines)
 from .enumeration import iter_raw_solutions
 from .errors import InputError
 from .params import check_convention
 
 _CHECKER_NAME = "_check_solution"
-
-
-def _product_expr(symbols) -> str:
-    return "*".join(symbols) if symbols else "1"
 
 
 def _term_expr(term: Term) -> str:
@@ -51,7 +48,7 @@ def _term_expr(term: Term) -> str:
         parts.append("m**%d" % term.m_exp)
     parts.extend(term.num_syms)
     parts.extend(term.params)
-    return _product_expr(parts)
+    return product_expr(parts)
 
 
 def _rule_lines(rule) -> List[str]:
@@ -65,7 +62,7 @@ def _rule_lines(rule) -> List[str]:
     den = next(iter(dens))
     left = _term_expr(lhs)
     if den:
-        left = "%s * %s" % (left, _product_expr(den))
+        left = "%s * %s" % (left, product_expr(den))
     right = " + ".join(_term_expr(t) for t in rhs)
     return ["if %s != %s:" % (left, right),
             "    fails.append(%r)" % rule.key]
@@ -117,67 +114,28 @@ def _inequality_lines(tmpl: InequalityTemplate) -> List[str]:
     for p, e in tmpl.rhs.items():
         right.extend([p] * e)
     key = "ineq:%s" % tmpl.key
-    return ["if %s > %s:" % (_product_expr(left), _product_expr(right)),
+    return ["if %s > %s:" % (product_expr(left), product_expr(right)),
             "    fails.append(%r)" % key]
 
 
-def _z_lines(convention: str) -> List[str]:
-    """Divmod computations for the ten z-quotients; bail out on remainder."""
-    lines: List[str] = []
-    for ij in P.PAIRS:
-        i, j = ij
-        kl = P.complement_pair(ij)
-        den = [P.d_name(ij), P.x_name(ij), P.x_name(kl)]
-        if convention == "reduced":
-            den.append(P.x_name(kl))
-        lines += [
-            "%s, _r = divmod(term%d + term%d, %s)"
-            % (P.z_name(ij), i, j, _product_expr(den)),
-            "if _r:",
-            "    fails.append('zint:%s')" % P.z_name(ij),
-            "    return fails",
-        ]
-    for T in P.TRIPLES:
-        den = [P.d_name(T)]
-        den += [P.x_name(p) for p in combinations(T, 2)]
-        den.append(P.x_name(T))
-        lines += [
-            "%s, _r = divmod(%s, %s)"
-            % (P.z_name(T), " + ".join("term%d" % i for i in T),
-               _product_expr(den)),
-            "if _r:",
-            "    fails.append('zint:%s')" % P.z_name(T),
-            "    return fails",
-        ]
-    return lines
+def _record_failure(check: str, num: str, den: str) -> List[str]:
+    key = check if check == "master" else "zint:" + check
+    return ["fails.append(%r)" % key, "return fails"]
 
 
 def checker_source(convention: str = "standard") -> str:
     """Source of the compiled per-solution checker (one function)."""
     check_convention(convention)
-    args = (["m", "n"]
-            + ["n%d" % i for i in P.INDICES]
-            + ["nn%d" % i for i in P.INDICES]
-            + list(P.D_SYMBOLS)
-            + list(P.X_PARAMS)
-            + ["t%d" % i for i in P.INDICES])
-    body: List[str] = ["fails = []"]
-    for i in P.INDICES:
-        body.append("term%d = nn%d * %s"
-                    % (i, i, _product_expr(P.TERM_XPART[i])))
-    body += [
-        "mT = m * %s" % _product_expr(P.X_PARAMS),
-        "if mT != term1 + term2 + term3 + term4:",
-        "    fails.append('master')",
-        "    return fails",
-    ]
+    args = ("m", "n") + PATTERN_ARGS + P.X_PARAMS + ("t1", "t2", "t3", "t4")
+    master, quotients = quotient_lines(convention, _record_failure)
+    body: List[str] = ["fails = []"] + master
     for i in P.INDICES:
         body += ["if _gcd(t%d, nn%d) != 1:" % (i, i),
                  "    fails.append('coprime:t%d')" % i]
     for a, b in INCOMPARABLE_PAIRS:
         body += ["if _gcd(%s, %s) != 1:" % (a, b),
                  "    fails.append('coprime:%s*%s')" % (a, b)]
-    body += _z_lines(convention)
+    body += quotients
     for rule in build_rules(convention):
         if rule.family == 1:
             body += _factor_lines(rule)
@@ -186,9 +144,7 @@ def checker_source(convention: str = "standard") -> str:
     for tmpl in build_inequalities():
         body += _inequality_lines(tmpl)
     body.append("return fails")
-    lines = ["def %s(%s):" % (_CHECKER_NAME, ", ".join(args))]
-    lines += ["    " + line for line in body]
-    return "\n".join(lines) + "\n"
+    return function_source(_CHECKER_NAME, args, body)
 
 
 @lru_cache(maxsize=None)
@@ -243,15 +199,6 @@ class SweepReport:
         )
 
 
-def _pattern_data(n: int, pattern: Tuple[int, ...]) -> Tuple[int, ...]:
-    nn = tuple(n // ni for ni in pattern)
-    d = tuple(math.gcd(*(nn[i - 1] for i in J)) if len(J) == 2
-              else math.gcd(math.gcd(nn[J[0] - 1], nn[J[1] - 1]),
-                            nn[J[2] - 1])
-              for J in P.Z_SUBSETS)
-    return pattern + nn + d
-
-
 def sweep_soundness(
     n_max: int = 50,
     m_factor: int = 4,
@@ -273,12 +220,14 @@ def sweep_soundness(
         raise InputError("n_max must be positive, got %d" % n_max)
     if m_factor < 1:
         raise InputError("m_factor must be positive, got %d" % m_factor)
+    if fail_limit is not None and fail_limit < 1:
+        raise InputError("fail_limit must be positive, got %d" % fail_limit)
     checker = compiled_checker(convention)
     skip_integrality = convention == "reduced"
     report = SweepReport(n_max=n_max, m_factor=m_factor,
                          convention=convention)
     gcd = math.gcd
-    x_names = P.X_PARAMS
+    n_x = len(P.X_PARAMS)
     started = time.perf_counter()
     for n in range(1, n_max + 1):
         data_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
@@ -292,19 +241,18 @@ def sweep_soundness(
                            gcd(a[2], n), gcd(a[3], n))
                 data = data_cache.get(pattern)
                 if data is None:
-                    data = _pattern_data(n, pattern)
+                    data = pattern_data(n, pattern)
                     data_cache[pattern] = data
                 t = (a[0] // pattern[0], a[1] // pattern[1],
                      a[2] // pattern[2], a[3] // pattern[3])
-                x = relative_gcds(t)
-                bad = [i for i in P.INDICES if x["x%d" % i] != 1]
-                if bad:
-                    for i in bad:
-                        report.failures.append(
-                            SweepFailure(m, n, a, "singleton:x%d" % i))
+                x = layered_gcds(*t)
+                if x[n_x:] != (1, 1, 1, 1):
+                    for name, value in zip(X_VALUES[n_x:], x[n_x:]):
+                        if value != 1:
+                            report.failures.append(
+                                SweepFailure(m, n, a, "singleton:" + name))
                     continue
-                xs = tuple(x[name] for name in x_names)
-                fails = checker(m, n, *data, *xs, *t)
+                fails = checker(m, n, *data, *x[:n_x], *t)
                 for key in fails:
                     if skip_integrality and key.startswith("zint:"):
                         report.skipped += 1

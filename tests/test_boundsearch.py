@@ -124,6 +124,7 @@ def test_default_library():
     assert all(is_defining(s) for s in library)
     sizes = sorted(len(s) for s in library)
     assert sizes[:2] == [2, 2] and sizes[-2:] == [8, 9]
+    assert default_library() is library
 
 
 def test_partition_reference_a():

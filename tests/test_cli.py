@@ -92,6 +92,14 @@ def test_decompose_rejects_wrong_sum(capsys):
     assert err.startswith("error:")
 
 
+def test_decompose_rejects_zero_n(capsys):
+    rc, out, err = run(capsys, "decompose", "1", "0",
+                       "--solution", "2,4,6,12")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_closure_defining_pair(capsys):
     rc, out, _ = run(capsys, "closure", "--set", "z23,z234")
     assert rc == 0
@@ -310,6 +318,13 @@ def test_sweep_progress_on_stderr(capsys):
     rc, out, err = run(capsys, "sweep", "--nmax", "2", "--json")
     assert rc == 0
     assert "n=1:" in err and "n=2:" in err
+
+
+def test_sweep_rejects_zero_fail_limit(capsys):
+    rc, out, err = run(capsys, "sweep", "--nmax", "10", "--fail-limit", "0")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_threads_flag_and_env(capsys, monkeypatch):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitfrac import params as P
 from unitfrac.decomposition import (
     INCOMPARABLE_PAIRS,
     decompose,
@@ -120,3 +125,38 @@ def test_input_validation():
         decompose((2, 4, 6, 13), 1)  # wrong sum
     with pytest.raises(InputError):
         decompose((2, 4, 6, 12), 1, convention="other")
+
+
+# Numbers built from small primes share factors often, so the gcd lattice of
+# four of them has many nontrivial layers; plain integers rarely do.
+_SMOOTH = st.lists(st.sampled_from((2, 3, 5, 7)), max_size=12).map(math.prod)
+_NUMBER = st.one_of(_SMOOTH, st.integers(min_value=1, max_value=10**6),
+                    st.builds(lambda a, b: a * b, _SMOOTH,
+                              st.integers(min_value=1, max_value=60)))
+_SUBSETS = [J for r in range(1, 5) for J in combinations(P.INDICES, r)]
+
+
+@given(st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER))
+def test_relative_gcds_factor_every_subset_gcd(t):
+    x = relative_gcds(t)
+    assert len(x) == len(_SUBSETS)
+    for J in _SUBSETS:
+        above = [x[P.x_name(K)] for K in _SUBSETS if set(J) <= set(K)]
+        assert math.prod(above) == math.gcd(*(t[i - 1] for i in J))
+    for a, b in INCOMPARABLE_PAIRS:
+        assert gcd(x[a], x[b]) == 1
+
+
+@settings(deadline=None)
+@given(st.lists(_NUMBER, min_size=4, max_size=4).map(sorted).map(tuple))
+def test_decompose_inverts_on_own_sum(a):
+    total = sum(Fraction(1, v) for v in a)
+    dec = decompose(a, total)
+    assert reconstruct(dec) == a
+    assert verify(dec).passed, str(verify(dec))
+    try:
+        red = decompose(a, total, convention="reduced")
+    except IntegralityError:
+        return
+    assert red.x == dec.x and red.terms == dec.terms
+    assert reconstruct(red) == a

@@ -106,3 +106,5 @@ def test_sweep_input_validation():
         sweep_soundness(n_max=5, m_factor=0)
     with pytest.raises(InputError):
         sweep_soundness(n_max=5, convention="other")
+    with pytest.raises(InputError):
+        sweep_soundness(n_max=5, fail_limit=0)
