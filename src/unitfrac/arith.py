@@ -1,28 +1,20 @@
 """Exact integer arithmetic helpers: gcd, factorization, divisor lists.
 
-Everything works on Python ints (arbitrary precision) and fractions.Fraction.
-No floating point is used anywhere in this module.
+Everything works on Python ints (arbitrary precision).  No floating point
+is used anywhere in this module.
 
-The factorizer is swappable: the default does plain trial division against a
-cached prime table, which is entirely adequate for desk-scale inputs.  A
-Pollard-rho backend is provided for the large denominators that show up in
-exhaustive sweeps; install it with set_factorizer().
+Factorization is plain trial division against a cached prime table, which
+is entirely adequate for desk-scale inputs: the enumeration's two-term
+tail factors its denominator q and reads the divisors of q^2 off the result.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 gcd = math.gcd
-
-
-def gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
 
 
 def reduce_fraction(m: int, n: int) -> tuple[int, int]:
@@ -58,48 +50,19 @@ def primes_up_to(limit: int) -> List[int]:
     return _primes[: bisect.bisect_right(_primes, limit)]
 
 
-# --- primality (used by the rho backend) ---------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# --- factorizer backends --------------------------------------------------
+# --- factorization and divisors ------------------------------------------
 
 Factorization = Dict[int, int]
 
 
-def trial_division(n: int) -> Factorization:
+def factorize(n: int) -> Factorization:
+    """Prime factorization of n >= 1 by trial division, {prime: exponent}."""
     if n < 1:
         raise ValueError("factorize expects n >= 1, got %r" % (n,))
     out: Factorization = {}
     if n == 1:
         return out
-    limit = math.isqrt(n)
-    for p in primes_up_to(limit):
+    for p in primes_up_to(math.isqrt(n)):
         if p * p > n:
             break
         while n % p == 0:
@@ -107,95 +70,9 @@ def trial_division(n: int) -> Factorization:
             n //= p
         if n == 1:
             return out
-        limit = math.isqrt(n)
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def _rho_step(n: int, seed: int) -> int:
-    # Brent's variant; returns a nontrivial factor of composite odd n.
-    if n % 2 == 0:
-        return 2
-    y, c, m = seed % n, 1 + seed % (n - 1), 128
-    g = r = q = 1
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-        r *= 2
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    return g
-
-
-def pollard_rho(n: int) -> Factorization:
-    """Factor via small trial division plus Pollard rho on large cofactors."""
-    if n < 1:
-        raise ValueError("factorize expects n >= 1, got %r" % (n,))
-    out: Factorization = {}
-    for p in primes_up_to(1000):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
-            out[v] = out.get(v, 0) + 1
-            continue
-        f = v
-        seed = 1
-        while f == v:
-            f = _rho_step(v, seed)
-            seed += 1
-        stack.append(f)
-        stack.append(v // f)
-    return out
-
-
-_factorizer: Callable[[int], Factorization] = trial_division
-
-
-def set_factorizer(fn: Callable[[int], Factorization]) -> Callable[[int], Factorization]:
-    """Swap the factorization backend; returns the previous one."""
-    global _factorizer
-    old = _factorizer
-    _factorizer = fn
-    return old
-
-
-def factorize(n: int) -> Factorization:
-    return _factorizer(n)
-
-
-def divisors(n: int) -> List[int]:
-    """Sorted list of positive divisors of n (n >= 1)."""
-    if n < 1:
-        raise ValueError("divisors expects n >= 1, got %r" % (n,))
-    divs = [1]
-    for p, e in factorize(n).items():
-        pk = 1
-        powers = []
-        for _ in range(e):
-            pk *= p
-            powers.append(pk)
-        divs += [d * pk for d in divs for pk in powers]
-    divs.sort()
-    return divs
 
 
 def divisors_from_factorization(fac: Factorization, limit: int | None = None) -> List[int]:

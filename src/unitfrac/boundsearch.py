@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -259,16 +258,12 @@ class Partition:
     def parts(self) -> Tuple[Dict[str, int], ...]:
         out = []
         for i, base in enumerate(self.bases):
-            part = {p: 1 for p in sort_params_list(base)}
+            part = {p: 1 for p in P.sort_params(base)}
             if i == 0:
                 for p, e in self.leftover.items():
                     part[p] = part.get(p, 0) + e
             out.append(part)
         return tuple(out)
-
-
-def sort_params_list(names) -> List[str]:
-    return sorted(names, key=lambda p: _PARAM_POS[p])
 
 
 def _exponent_vector(lhs: Mapping[str, int]) -> List[int]:
@@ -280,6 +275,69 @@ def _exponent_vector(lhs: Mapping[str, int]) -> List[int]:
             raise InputError("negative exponent for %s" % p)
         vec[_PARAM_POS[p]] += e
     return vec
+
+
+class _Packer:
+    """First packing of each size under an exponent vector, memoized.
+
+    A packing of size g is a nondecreasing sequence of g library indices
+    whose sets, summed componentwise, stay under the vector.  The
+    depth-first scan meets these sequences in lexicographic order, so the
+    first one it reaches at depth g is the canonical g-part packing.
+    Feasibility is monotone (drop a set), so the number of depths reached
+    is the packing number clipped at g_max.  Components are clipped at
+    g_max for the memo key: a packing of at most g_max sets uses each
+    parameter at most g_max times, so capacity beyond that never matters.
+    """
+
+    def __init__(self, library: Sequence[FrozenSet[str]], g_max: int):
+        self.lib = _library_vectors(library)
+        self.g_max = g_max
+        self.memo: Dict[Tuple[int, ...], Tuple[Tuple[FrozenSet[str], ...], ...]] = {}
+
+    def first_bases(self, vec: Sequence[int]) -> Tuple[Tuple[FrozenSet[str], ...], ...]:
+        """Entry g-1 holds the bases of the first packing of size g."""
+        clipped = tuple(min(v, self.g_max) for v in vec)
+        found = self.memo.get(clipped)
+        if found is None:
+            firsts: List[Tuple[FrozenSet[str], ...]] = []
+            self._pack(list(clipped), 0, [], firsts)
+            found = self.memo[clipped] = tuple(firsts)
+        return found
+
+    def _pack(self, vec: List[int], start: int, chosen: List[FrozenSet[str]],
+              firsts: List[Tuple[FrozenSet[str], ...]]) -> bool:
+        """Extend `chosen`, recording first arrivals; True once g_max is hit."""
+        if len(chosen) > len(firsts):
+            firsts.append(tuple(chosen))
+        if len(chosen) >= self.g_max:
+            return True
+        for idx in range(start, len(self.lib)):
+            svec, sset = self.lib[idx]
+            if all(v >= s for v, s in zip(vec, svec)):
+                for pos in range(_NPARAMS):
+                    vec[pos] -= svec[pos]
+                chosen.append(sset)
+                done = self._pack(vec, idx, chosen, firsts)
+                chosen.pop()
+                for pos in range(_NPARAMS):
+                    vec[pos] += svec[pos]
+                if done:
+                    return True
+        return False
+
+    def split(self, vec: Sequence[int], g: int) -> Optional[Partition]:
+        """The first g-part packing with its leftover, or None."""
+        firsts = self.first_bases(vec)
+        if g > len(firsts):
+            return None
+        bases = firsts[g - 1]
+        left = list(vec)
+        for base in bases:
+            for p in base:
+                left[_PARAM_POS[p]] -= 1
+        leftover = {_PARAM_ORDER[i]: v for i, v in enumerate(left) if v}
+        return Partition(bases=bases, leftover=leftover)
 
 
 def partition(
@@ -296,73 +354,8 @@ def partition(
     """
     if g < 1:
         raise InputError("g must be >= 1, got %d" % g)
-    lib = _library_vectors(default_library() if library is None else library)
-    vec = _exponent_vector(lhs)
-
-    chosen: List[FrozenSet[str]] = []
-
-    def place(start: int, remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        for idx in range(start, len(lib)):
-            svec, sset = lib[idx]
-            if all(v >= s for v, s in zip(vec, svec)):
-                for pos in range(_NPARAMS):
-                    vec[pos] -= svec[pos]
-                chosen.append(sset)
-                if place(idx, remaining - 1):
-                    return True
-                chosen.pop()
-                for pos in range(_NPARAMS):
-                    vec[pos] += svec[pos]
-        return False
-
-    if not place(0, g):
-        return None
-    leftover = {_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v}
-    return Partition(bases=tuple(chosen), leftover=leftover)
-
-
-class _Packer:
-    """Max count of library sets fitting under a vector, memoized.
-
-    Feasibility of g parts is monotone (drop a set), so the maximum
-    feasible g is the packing number clipped at g_max.  Components are
-    clipped at g_max for the memo key: a part uses each parameter at most
-    once, so capacity beyond g_max never matters.
-    """
-
-    def __init__(self, library: Sequence[FrozenSet[str]], g_max: int):
-        self.lib = _library_vectors(library)
-        self.g_max = g_max
-        self.memo: Dict[Tuple[int, ...], int] = {}
-
-    def max_parts(self, vec: Sequence[int]) -> int:
-        clipped = tuple(min(v, self.g_max) for v in vec)
-        cached = self.memo.get(clipped)
-        if cached is not None:
-            return cached
-        best = self._pack(list(clipped), 0, 0)
-        self.memo[clipped] = best
-        return best
-
-    def _pack(self, vec: List[int], start: int, depth: int) -> int:
-        if depth >= self.g_max:
-            return depth
-        best = depth
-        for idx in range(start, len(self.lib)):
-            svec, _ = self.lib[idx]
-            if all(v >= s for v, s in zip(vec, svec)):
-                for pos in range(_NPARAMS):
-                    vec[pos] -= svec[pos]
-                found = self._pack(vec, idx, depth + 1)
-                for pos in range(_NPARAMS):
-                    vec[pos] += svec[pos]
-                if found > best:
-                    best = found
-                    if best >= self.g_max:
-                        return best
-        return best
+    packer = _Packer(default_library() if library is None else library, g)
+    return packer.split(_exponent_vector(lhs), g)
 
 
 def max_feasible_g(
@@ -373,9 +366,8 @@ def max_feasible_g(
     """Largest g <= g_max for which partition(lhs, g) succeeds (0 if none)."""
     if g_max < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
-    lib = default_library() if library is None else library
-    packer = _Packer(lib, g_max)
-    return packer.max_parts(_exponent_vector(lhs))
+    packer = _Packer(default_library() if library is None else library, g_max)
+    return len(packer.first_bases(_exponent_vector(lhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +477,8 @@ def search(
         raise InputError("budget must be >= 0, got %d" % budget)
     if g_max < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
+    if node_limit is not None and node_limit < 1:
+        raise InputError("node_limit must be >= 1, got %d" % node_limit)
     if library is None:
         lib = default_library()
     else:
@@ -531,7 +525,7 @@ def search(
         for g in range(1, g_max + 1):
             score = (Fraction(a_total, g), Fraction(m_exp, g))
             if not frontier.covered(score):
-                feasible = packer.max_parts(vec)
+                feasible = len(packer.first_bases(vec))
                 break
         else:
             return
@@ -540,11 +534,7 @@ def search(
             if frontier.covered(score):
                 continue
             combo = dict(combo_items)
-            part = partition(
-                {_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v}, g, lib
-            )
-            if part is None:  # pragma: no cover - feasible <= packing count
-                continue
+            part = packer.split(vec, g)
             ineq = MonomialInequality(
                 combination=combo,
                 exponents={_PARAM_ORDER[i]: v
@@ -658,7 +648,7 @@ def witness_to_json(bound: DerivedBound) -> str:
     doc = {
         "combination": dict(normalize_combination(bound.combination)),
         "exponents": {p: bound.inequality.exponents[p]
-                      for p in sort_params_list(bound.inequality.exponents)},
+                      for p in P.sort_params(bound.inequality.exponents)},
         "constant": bound.inequality.constant,
         "A": bound.A,
         "B": bound.B,
@@ -666,7 +656,7 @@ def witness_to_json(bound: DerivedBound) -> str:
         "raw_pattern": dict(bound.raw_pattern),
         "reductions": [list(app) for app in bound.reductions],
         "partition": {
-            "bases": [sort_params_list(base) for base in bound.partition.bases],
+            "bases": [P.sort_params(base) for base in bound.partition.bases],
             "leftover": dict(bound.partition.leftover),
         },
     }
@@ -683,22 +673,40 @@ def replay_witness(
     Runs combine and simplify_pattern on the stored combination, verifies
     the stored exponent vector, constant, A, B, raw pattern, and that the
     stored partition is valid: bases are defining sets, the base sum fits
-    under the exponent vector, and leftover matches exactly.
+    under the exponent vector, and leftover matches exactly.  A document
+    that is not an object, lacks a field or holds a value of the wrong
+    shape raises InputError.
     """
-    combo = normalize_combination(doc["combination"])
+    if not isinstance(doc, Mapping):
+        raise InputError("witness must be a JSON object, got %s"
+                         % type(doc).__name__)
+    try:
+        combo = normalize_combination(dict(doc["combination"]))
+        raw_pattern = {k: int(v) for k, v in doc["raw_pattern"].items()}
+        stored_exp = {k: int(v) for k, v in doc["exponents"].items()}
+        constant, a_total, b_total, g = (
+            int(doc[key]) for key in ("constant", "A", "B", "g"))
+        bases = tuple(frozenset(b) for b in doc["partition"]["bases"])
+        for base in bases:
+            P.params_to_mask(base)  # ValueError on an unknown name
+        stored_leftover = {k: int(v)
+                           for k, v in doc["partition"]["leftover"].items()}
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError("witness has no %s field" % exc) from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise InputError("malformed witness: %s" % exc) from None
     raw = combine(combo)
-    if dict(raw.pattern) != {k: int(v) for k, v in doc["raw_pattern"].items()}:
+    if dict(raw.pattern) != raw_pattern:
         raise InputError("witness raw pattern does not replay")
     simplified = simplify_pattern(raw)
-    stored_exp = {k: int(v) for k, v in doc["exponents"].items()}
     if dict(simplified.exponents) != stored_exp:
         raise InputError("witness exponent vector does not replay")
-    if simplified.constant != int(doc["constant"]):
+    if simplified.constant != constant:
         raise InputError("witness constant does not replay")
-    if simplified.n_exp != int(doc["A"]) or simplified.m_exp != int(doc["B"]):
+    if simplified.n_exp != a_total or simplified.m_exp != b_total:
         raise InputError("witness A/B do not replay")
-    g = int(doc["g"])
-    bases = tuple(frozenset(b) for b in doc["partition"]["bases"])
     if len(bases) != g:
         raise InputError("witness partition has %d bases, g=%d"
                          % (len(bases), g))
@@ -706,15 +714,13 @@ def replay_witness(
     for base in bases:
         if not is_defining(base, convention=convention):
             raise InputError("witness base %s is not defining"
-                             % ",".join(sort_params_list(base)))
+                             % ",".join(P.sort_params(base)))
         for p in base:
             vec[_PARAM_POS[p]] -= 1
             if vec[_PARAM_POS[p]] < 0:
                 raise InputError("witness bases exceed the exponent vector "
                                  "at %s" % p)
     leftover = {_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v}
-    stored_leftover = {k: int(v)
-                       for k, v in doc["partition"]["leftover"].items()}
     if leftover != stored_leftover:
         raise InputError("witness leftover does not replay")
     q, apps = pattern_reductions(raw.pattern)

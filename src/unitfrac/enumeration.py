@@ -117,6 +117,8 @@ def iter_raw_solutions(m: int, n: int, k: int, divisor_tail: bool = True) -> Ite
 
 def _collect(m: int, n: int, k: int, cap, divisor_tail: bool) -> EnumerationResult:
     p, q = _check_query(m, n, k)
+    if cap is not None and cap < 0:
+        raise InputError("cap must be >= 0, got %d" % cap)
     frac = Fraction(p, q)
     sols: List[SolutionTuple] = []
     complete = True
@@ -132,8 +134,8 @@ def _collect(m: int, n: int, k: int, cap, divisor_tail: bool) -> EnumerationResu
 def enumerate_representations(m: int, n: int, k: int, cap: int | None = None) -> EnumerationResult:
     """All representations of m/n as k unit fractions, lex order.
 
-    With cap, at most cap solutions are returned and .complete goes False
-    when the enumeration was truncated.
+    With cap (>= 0), at most cap solutions are returned and .complete goes
+    False when the enumeration was truncated.
     """
     return _collect(m, n, k, cap, divisor_tail=True)
 

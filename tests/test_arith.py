@@ -1,4 +1,4 @@
-"""Integer helpers: gcd folding, factorization backends, divisors."""
+"""Integer helpers: fractions, the prime table, factorization, divisors."""
 
 from __future__ import annotations
 
@@ -6,15 +6,9 @@ import math
 import random
 
 import pytest
+import sympy
 
 from unitfrac import arith
-
-
-def test_gcd_all():
-    assert arith.gcd_all([12, 18, 30]) == 6
-    assert arith.gcd_all([7]) == 7
-    assert arith.gcd_all([0, 0, 5]) == 5
-    assert arith.gcd_all([]) == 0
 
 
 def test_reduce_fraction():
@@ -32,52 +26,17 @@ def test_primes_up_to():
     assert len(arith.primes_up_to(10 ** 4)) == 1229
 
 
-def test_is_prime_small_and_carmichael():
-    primes = set(arith.primes_up_to(500))
-    for v in range(2, 500):
-        assert arith.is_prime(v) == (v in primes)
-    assert not arith.is_prime(561)  # 3 * 11 * 17
-    assert not arith.is_prime(1)
-    assert arith.is_prime(2 ** 31 - 1)
-
-
-def _check_factorization(n, fac):
-    product = 1
-    for p, e in fac.items():
-        assert arith.is_prime(p)
-        assert e >= 1
-        product *= p ** e
-    assert product == n
-
-
-def test_trial_division_and_pollard_agree():
+def test_factorize_agrees_with_sympy():
     rng = random.Random(7)
-    values = [1, 2, 12, 97, 2 ** 10, 3 * 5 * 7 * 11, 104729 * 2]
+    values = [1, 2, 12, 97, 2 ** 10, 3 * 5 * 7 * 11, 104729 * 2, 600851475143]
     values += [rng.randrange(2, 10 ** 9) for _ in range(50)]
     for n in values:
-        tf = arith.trial_division(n)
-        pf = arith.pollard_rho(n)
-        assert tf == pf, n
-        if n > 1:
-            _check_factorization(n, tf)
-
-
-def test_set_factorizer_swaps_backend():
-    previous = arith.set_factorizer(arith.pollard_rho)
-    try:
-        assert arith.factorize(600851475143) == {71: 1, 839: 1, 1471: 1,
-                                                 6857: 1}
-    finally:
-        arith.set_factorizer(previous)
-
-
-def test_divisors():
-    assert arith.divisors(1) == [1]
-    assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert arith.divisors(97) == [1, 97]
-    for n in range(1, 200):
-        expected = [d for d in range(1, n + 1) if n % d == 0]
-        assert arith.divisors(n) == expected
+        fac = arith.factorize(n)
+        assert fac == sympy.factorint(n), n
+        assert all(sympy.isprime(p) and e >= 1 for p, e in fac.items()), n
+    assert arith.factorize(600851475143) == {71: 1, 839: 1, 1471: 1, 6857: 1}
+    with pytest.raises(ValueError):
+        arith.factorize(0)
 
 
 def test_divisors_from_factorization_limit():
@@ -87,3 +46,8 @@ def test_divisors_from_factorization_limit():
     capped = arith.divisors_from_factorization(fac, limit=10)
     assert capped == [d for d in all_divs if d <= 10]
     assert math.prod(fac[p] + 1 for p in fac) == 24
+    for n in range(1, 200):
+        expected = [d for d in range(1, n + 1) if n % d == 0]
+        assert arith.divisors_from_factorization(arith.factorize(n)) == expected
+        assert arith.divisors_from_factorization(
+            arith.factorize(n), limit=n // 2) == expected[:-1]

@@ -6,7 +6,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitfrac import params as P
 from unitfrac.boundsearch import (
     combination_sort_key,
     combine,
@@ -159,6 +162,33 @@ def test_max_feasible_g():
     assert max_feasible_g({"x12": 1}, 6) == 0
 
 
+# zero-heavy exponents, so that every packing number 0..6 turns up
+@settings(deadline=None)
+@given(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(P.PARAM_ORDER),
+                max_size=len(P.PARAM_ORDER)))
+def test_partition_packs_every_feasible_g(exps):
+    lhs = {p: e for p, e in zip(P.PARAM_ORDER, exps) if e}
+    library = default_library()
+    top = max_feasible_g(lhs, 6)
+    for g in range(1, top + 1):
+        result = partition(lhs, g)
+        assert result is not None and result.g == g
+        used = {}
+        for base in result.bases:
+            assert base in library and is_defining(base)
+            for p in base:
+                used[p] = used.get(p, 0) + 1
+        assert all(lhs.get(p, 0) - used.get(p, 0) == result.leftover.get(p, 0)
+                   >= 0 for p in P.PARAM_ORDER)
+        total = {}
+        for part in result.parts():
+            for p, mult in part.items():
+                total[p] = total.get(p, 0) + mult
+        assert total == lhs
+    if top < 6:
+        assert partition(lhs, top + 1) is None
+
+
 def test_search_tiny_budget():
     result = search(4)
     assert result.complete
@@ -242,6 +272,9 @@ def test_node_limit_marks_partial():
     assert result.examined <= 100
     full = search(4)
     assert full.complete
+    for bad in (0, -5):
+        with pytest.raises(InputError):
+            search(4, node_limit=bad)
 
 
 def test_search_rejects_bad_library():

@@ -42,6 +42,10 @@ def test_enumerate_cap_warns_on_truncation(capsys):
     assert rc == 0
     assert len(out.splitlines()) == 5
     assert "truncated" in err
+    rc, out, err = run(capsys, "enumerate", "3", "7", "6", "--cap", "-1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_decompose_human_output(capsys):
@@ -208,6 +212,25 @@ def test_replay_rejects_tampered_witness(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_replay_rejects_non_object_line(capsys, tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    rc, out, err = run(capsys, "replay", "--witness", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_replay_rejects_witness_missing_a_key(capsys, tmp_path):
+    path = tmp_path / "partial.jsonl"
+    path.write_text('{"combination": {"t1": 1}}\n', encoding="utf-8")
+    rc, out, err = run(capsys, "replay", "--witness", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "raw_pattern" in err
+
+
 def test_replay_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "replay", "--witness",
                      str(tmp_path / "nope.jsonl"))
@@ -220,6 +243,10 @@ def test_search_node_limit_warns_partial(capsys):
                        "--node-limit", "100")
     assert rc == 0
     assert "partial" in err
+    rc, out, err = run(capsys, "search", "--budget", "2", "--node-limit", "-5")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bound_human_output(capsys):

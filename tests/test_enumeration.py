@@ -105,3 +105,7 @@ def test_input_validation():
         enumerate_representations(1, 0, 3)
     with pytest.raises(InputError):
         count_representations(1, 1, -1)
+    with pytest.raises(InputError):
+        enumerate_representations(3, 7, 6, cap=-1)
+    with pytest.raises(InputError):
+        enumerate_naive(3, 7, 6, cap=-1)
