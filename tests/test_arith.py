@@ -39,6 +39,19 @@ def test_factorize_agrees_with_sympy():
         arith.factorize(0)
 
 
+def _divisors(n):
+    return arith.divisors_from_factorization(arith.factorize(n))
+
+
+def test_divisors():
+    assert _divisors(1) == [1]
+    assert _divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert _divisors(97) == [1, 97]
+    for n in range(1, 200):
+        expected = [d for d in range(1, n + 1) if n % d == 0]
+        assert _divisors(n) == expected
+
+
 def test_divisors_from_factorization_limit():
     fac = arith.factorize(360)
     all_divs = arith.divisors_from_factorization(fac)
@@ -48,6 +61,5 @@ def test_divisors_from_factorization_limit():
     assert math.prod(fac[p] + 1 for p in fac) == 24
     for n in range(1, 200):
         expected = [d for d in range(1, n + 1) if n % d == 0]
-        assert arith.divisors_from_factorization(arith.factorize(n)) == expected
         assert arith.divisors_from_factorization(
             arith.factorize(n), limit=n // 2) == expected[:-1]
