@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .enumeration import count_representations
 from .errors import InputError
@@ -61,18 +62,13 @@ FORMULAS: Tuple[BoundFormula, ...] = (
 # the two-part bounds contribute the larger of their exponents
 _GROUPS: Tuple[Tuple[int, ...], ...] = ((0,), (1,), (2, 4), (3, 4))
 
-# active formula index on each of the six regions between breakpoints
-_REGION_FORMULAS: Tuple[int, ...] = (0, 2, 3, 4, 4, 1)
-
-_ALPHA_DENOMINATOR = 30345
-
 
 def pairwise_crossings() -> Tuple[Fraction, ...]:
     """All c in (0, 1) where two formulas agree, ascending (raw, unfiltered).
 
-    The published transition points are the subset of these where either
-    the value of best(c) changes slope or the binding member of a
-    two-part group switches; tests recover them from this raw list.
+    Between two adjacent crossings no two formulas change order, so these
+    points with 0 and 1 cut [0, 1] into the pieces the envelope behind
+    regime_table() is evaluated on.
     """
     points = set()
     for i, f in enumerate(FORMULAS):
@@ -85,26 +81,60 @@ def pairwise_crossings() -> Tuple[Fraction, ...]:
     return tuple(sorted(points))
 
 
-def breakpoints() -> Tuple[Fraction, ...]:
-    """The exact transition points of best(c), ascending."""
-    return (
-        Fraction(50, 289),
-        Fraction(5, 17),
-        Fraction(1, 3),
-        Fraction(40, 119),
-        Fraction(4, 5),
-    )
-
-
-def breakpoint_alphas() -> Tuple[Fraction, ...]:
-    """Breakpoints scaled by 30345 (all integral at this denominator)."""
-    return tuple(c * _ALPHA_DENOMINATOR for c in breakpoints())
-
-
 def best_value(c: Fraction) -> Fraction:
     """min over sources of the exponent at c (groups enter as their max)."""
     values = [f.n_exp(c) for f in FORMULAS]
     return min(max(values[i] for i in group) for group in _GROUPS)
+
+
+@lru_cache(maxsize=None)
+def _envelope() -> Tuple[Tuple[Fraction, Fraction, BoundFormula], ...]:
+    """The regions of best(c) on [0, 1], each with its binding formula.
+
+    On each piece between adjacent cuts (0, the pairwise crossings, 1) the
+    sources attaining best(c) and the member binding each of them are
+    fixed, so they are read off at the piece's midpoint.  A breakpoint is
+    a cut where that set of (source, binding formula) pairs changes; the
+    region's formula is the one binding formula (it is the only formula
+    attaining best(c) away from the crossings).
+    """
+    cuts = (Fraction(0),) + pairwise_crossings() + (Fraction(1),)
+    starts: List[Fraction] = []
+    formulas: List[BoundFormula] = []
+    previous = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        values = [f.n_exp(mid) for f in FORMULAS]
+        best = best_value(mid)
+        pairs = frozenset(
+            (group, max(group, key=values.__getitem__))
+            for group in _GROUPS if max(values[i] for i in group) == best)
+        if pairs != previous:
+            (binding,) = {i for _, i in pairs}
+            starts.append(lo)
+            formulas.append(FORMULAS[binding])
+            previous = pairs
+    return tuple(zip(starts, starts[1:] + [Fraction(1)], formulas))
+
+
+def regime_table() -> Tuple[Tuple[Fraction, Fraction, BoundFormula], ...]:
+    """(c_low, c_high, active formula) for the six regions of [0, 1]."""
+    return _envelope()
+
+
+def breakpoints() -> Tuple[Fraction, ...]:
+    """The exact transition points of best(c), ascending."""
+    return tuple(lo for lo, _, _ in _envelope()[1:])
+
+
+def alpha_scale() -> int:
+    """The least integer scaling every breakpoint to an integer."""
+    return math.lcm(*(c.denominator for c in breakpoints()))
+
+
+def breakpoint_alphas() -> Tuple[Fraction, ...]:
+    """Breakpoints scaled by alpha_scale() (all integral at that scale)."""
+    return tuple(c * alpha_scale() for c in breakpoints())
 
 
 def _check_c(c) -> Fraction:
@@ -112,23 +142,6 @@ def _check_c(c) -> Fraction:
     if c < 0 or c > 1:
         raise InputError("c must lie in [0, 1], got %s" % c)
     return c
-
-
-def _region_of(c: Fraction) -> int:
-    points = breakpoints()
-    region = 0
-    for p in points:
-        if c > p:
-            region += 1
-    return region
-
-
-def active_formula_index(c: Fraction) -> int:
-    best = best_value(c)
-    for i, f in enumerate(FORMULAS):
-        if f.n_exp(c) == best:
-            return i
-    raise AssertionError("no formula attains the minimum")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -142,25 +155,19 @@ class Regime:
 
 
 def regime(c) -> Regime:
-    """The sharpest formula and its exponent at c = log_n(m), exact."""
+    """The sharpest formula and its exponent at c = log_n(m), exact.
+
+    c lies in the region numbered by the breakpoints strictly below it, so
+    a breakpoint belongs to the region on its left.
+    """
     c = _check_c(c)
-    idx = active_formula_index(c)
+    region = sum(c > p for p in breakpoints())
     return Regime(
         c=c,
-        formula=FORMULAS[idx],
+        formula=regime_table()[region][2],
         value=best_value(c),
         all_values=tuple(f.n_exp(c) for f in FORMULAS),
     )
-
-
-def regime_table() -> Tuple[Tuple[Fraction, Fraction, BoundFormula], ...]:
-    """(c_low, c_high, active formula) for the six regions of [0, 1]."""
-    points = (Fraction(0),) + breakpoints() + (Fraction(1),)
-    out = []
-    for i in range(len(points) - 1):
-        out.append((points[i], points[i + 1],
-                    FORMULAS[_REGION_FORMULAS[i]]))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -195,32 +202,18 @@ class BoundReport:
 def bound_report(m: int, n: int) -> BoundReport:
     """Locate (m, n) among the regimes by exact power comparisons.
 
-    c = log(m)/log(n) is irrational in general; the region is found by
-    comparing m^q against n^p for each breakpoint p/q exactly, floats
+    c = log(m)/log(n) is irrational in general; the region is the number
+    of breakpoints p/q with m^q > n^p, compared exactly, so a c on a
+    breakpoint falls in the region on its left as in regime().  Floats
     appear only in the reported magnitudes.
     """
     if n < 2:
         raise InputError("n must be >= 2 to define c = log(m)/log(n)")
     if m < 1 or m > n:
         raise InputError("m must satisfy 1 <= m <= n, got m=%d n=%d" % (m, n))
-    region = 0
-    exact_hit: Optional[Fraction] = None
-    for p_frac in breakpoints():
-        p, q = p_frac.numerator, p_frac.denominator
-        lhs = m ** q
-        rhs = n ** p
-        if lhs > rhs:
-            region += 1
-        elif lhs == rhs:
-            exact_hit = p_frac
-            break
+    region = sum(m ** p.denominator > n ** p.numerator for p in breakpoints())
     c_float = math.log(m) / math.log(n)
-    if exact_hit is not None:
-        reg = regime(exact_hit)
-        formula = reg.formula
-        region = _region_of(exact_hit)
-    else:
-        formula = FORMULAS[_REGION_FORMULAS[region]]
+    formula = regime_table()[region][2]
     values = tuple(
         float(n) ** float(f.intercept) * float(m) ** float(f.slope)
         for f in FORMULAS
@@ -285,8 +278,8 @@ def lift_report(n_max: int) -> Tuple[LiftRow, ...]:
     """
     if n_max < 1:
         raise InputError("n_max must be positive, got %d" % n_max)
-    if n_max > 30:
-        raise InputError("n_max > 30 is not desk-scale for 5-term counts")
+    if n_max > 8:
+        raise InputError("n_max > 8 is not desk-scale for 5-term counts")
     rows: List[LiftRow] = []
     for n in range(1, n_max + 1):
         for m in range(1, 5 * n + 2):

@@ -663,11 +663,7 @@ def witness_to_json(bound: DerivedBound) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def replay_witness(
-    doc: Mapping,
-    library: Optional[Sequence[FrozenSet[str]]] = None,
-    convention: str = "standard",
-) -> DerivedBound:
+def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
     """Re-derive a witness document from scratch and cross-check it.
 
     Runs combine and simplify_pattern on the stored combination, verifies

@@ -2,8 +2,11 @@
 
 Exit codes: 0 on success, 1 on invalid input, 2 when a computation
 surfaces an integrality or invariant finding (the interesting outcome
-of a soundness check, not a crash).  All JSON output is line-delimited
-with sorted keys, so identical inputs produce byte-identical output.
+of a soundness check, not a crash).  A closed stdout (the reader of a
+pipe exited) ends the run with 1 and nothing on stderr, never 0, so a
+cut-off run is not read as a complete one.  All JSON output is
+line-delimited with sorted keys, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -221,7 +224,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    library = _load_library(args.library) if args.library else None
     count = 0
     with open(args.witness, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -229,8 +231,7 @@ def _cmd_replay(args) -> int:
             if not line:
                 continue
             doc = json.loads(line)
-            bound = bs.replay_witness(doc, library=library,
-                                      convention=args.z_convention)
+            bound = bs.replay_witness(doc, convention=args.z_convention)
             print("replayed: %s" % bound.describe())
             count += 1
     if count == 0:
@@ -263,11 +264,12 @@ def _cmd_bound(args) -> int:
 
 def _cmd_regimes(args) -> int:
     table = asym.regime_table()
+    scale = asym.alpha_scale()
     if args.json:
         for lo, hi, formula in table:
             print(_json_line({
-                "alpha_high": int(hi * 30345),
-                "alpha_low": int(lo * 30345),
+                "alpha_high": int(hi * scale),
+                "alpha_low": int(lo * scale),
                 "c_high": str(hi),
                 "c_low": str(lo),
                 "exponent_at_c_high": str(formula.n_exp(hi)),
@@ -276,10 +278,10 @@ def _cmd_regimes(args) -> int:
             }))
         return 0
     print("six regimes of c = log(m)/log(n) on [0, 1] "
-          "(breakpoints scaled by 30345):")
+          "(breakpoints scaled by %d):" % scale)
     for lo, hi, formula in table:
         print("  c in [%s, %s]  (alpha %d..%d): %s"
-              % (lo, hi, int(lo * 30345), int(hi * 30345), formula.label))
+              % (lo, hi, int(lo * scale), int(hi * scale), formula.label))
     return 0
 
 
@@ -451,7 +453,6 @@ def build_parser() -> _Parser:
                        help="re-derive and verify witness documents")
     p.add_argument("--witness", required=True, metavar="PATH",
                    help="file of witness JSON lines")
-    p.add_argument("--library", metavar="PATH")
     _add_convention(p)
     p.set_defaults(func=_cmd_replay)
 
@@ -477,7 +478,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lift-report",
                        help="exact 5-term counts vs the asymptotic shape")
     p.add_argument("--nmax", type=int, default=6,
-                   help="largest denominator n (default 6, hard cap 30)")
+                   help="largest denominator n (default 6, hard cap 8)")
     _add_json(p)
     p.set_defaults(func=_cmd_lift_report)
 
@@ -511,6 +512,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except UnclearedDenominatorError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout went away (e.g. `| head`): stop quietly and
+        # point stdout at devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unitfrac.asymptotics import (
     FORMULAS,
@@ -134,6 +136,33 @@ def test_bound_report_exact_breakpoint_hit():
     assert bound_report(10, 10).region == 5
 
 
+def test_bound_report_on_each_breakpoint():
+    # m^q == n^p for the i-th breakpoint p/q: c sits on it exactly and
+    # belongs to the region on its left
+    hits = ((2 ** 50, 2 ** 289), (2 ** 5, 2 ** 17), (2, 8),
+            (2 ** 40, 2 ** 119), (16, 32))
+    table = regime_table()
+    for i, ((m, n), c) in enumerate(zip(hits, breakpoints())):
+        assert m ** c.denominator == n ** c.numerator
+        report = bound_report(m, n)
+        assert report.region == i
+        assert report.formula == table[i][2]
+        assert regime(c).formula == table[i][2]
+        assert table[i][2].n_exp(c) == best_value(c)
+
+
+@given(st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1)) + pairwise_crossings()),
+    st.fractions(min_value=0, max_value=1),
+))
+def test_regime_formula_is_its_regions_and_attains_best(c):
+    table = regime_table()
+    region = next(i for i, (_, hi, _) in enumerate(table) if c <= hi)
+    formula = regime(c).formula
+    assert formula == table[region][2]
+    assert formula.n_exp(c) == best_value(c)
+
+
 def test_bound_report_validation():
     with pytest.raises(InputError):
         bound_report(0, 10)
@@ -177,6 +206,8 @@ def test_lift_report_rows():
     assert table[(1, 2)].shape == pytest.approx(4 ** 1.6)
     with pytest.raises(InputError):
         lift_report(0)
+    with pytest.raises(InputError):
+        lift_report(9)
     with pytest.raises(InputError):
         lift_report(31)
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -199,6 +201,13 @@ def test_search_replay_roundtrip(capsys, tmp_path):
     lines = replay_out.splitlines()
     assert len(lines) == len(out.splitlines())
     assert all(line.startswith("replayed: ") for line in lines)
+    # replay certifies each base with is_defining and takes no library
+    library = tmp_path / "library.txt"
+    library.write_text("z23,z234\n", encoding="utf-8")
+    rc, _, err = run(capsys, "replay", "--witness", str(path),
+                     "--library", str(library))
+    assert rc == 1
+    assert err.startswith("error:")
 
 
 def test_replay_rejects_tampered_witness(capsys, tmp_path):
@@ -362,6 +371,32 @@ def test_threads_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("UNITFRAC_THREADS", "4")
     rc, out, _ = run(capsys, "count", "1", "1", "3")
     assert rc == 0 and out == "3\n"
+
+
+def test_closed_stdout_exits_one_quietly(capsys, monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+    try:
+        rc = main(["count", "1", "1", "3"])
+        # the descriptor now points at devnull, so the exit flush succeeds
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert rc == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_invalid_inputs_exit_one(capsys):
