@@ -82,7 +82,6 @@ from .enumeration import (
     enumerate_representations,
 )
 from .errors import (
-    BudgetExceededError,
     InputError,
     IntegralityError,
     InvariantError,
@@ -97,7 +96,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundFormula",
     "BoundReport",
-    "BudgetExceededError",
     "CONVENTIONS",
     "CORE_DEFINING_SETS",
     "ClosureRule",

@@ -25,11 +25,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from . import params as P
-from .catalog import build_inequalities, inequality_index
+from .catalog import InequalityTemplate, build_inequalities, inequality_index
 from .closure import CORE_DEFINING_SETS, is_defining, minimal_defining_sets, sort_sets
 from .errors import InputError, UnclearedDenominatorError
 
@@ -419,43 +420,69 @@ class SearchResult:
     elapsed: float
 
 
-def _dominates(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> bool:
-    """a at least as good as b in both coordinates (A/g down, B/g up)."""
-    return a[0] <= b[0] and a[1] >= b[1]
-
-
 class _Frontier:
+    """Pareto points keyed by the integer pair (A*L/g, B*L/g).
+
+    With L = lcm(1..g_max) every key is exact, so keys order and tie
+    exactly as the scores (A/g, B/g) do, in integer arithmetic.
+    """
+
     def __init__(self) -> None:
-        self.points: List[DerivedBound] = []
+        self.points: List[Tuple[Tuple[int, int], DerivedBound]] = []
 
-    def covered(self, score: Tuple[Fraction, Fraction]) -> bool:
-        return any(_dominates(p.score, score) and p.score != score
-                   for p in self.points)
+    def covered(self, key: Tuple[int, int]) -> bool:
+        """Another point has A/g no larger and B/g no smaller."""
+        a, b = key
+        return any(pa <= a and pb >= b and (pa < a or pb > b)
+                   for (pa, pb), _ in self.points)
 
-    def insert(self, bound: DerivedBound) -> None:
-        score = bound.score
-        for existing in self.points:
-            if existing.score == score:
+    def insert(self, key: Tuple[int, int], bound: DerivedBound) -> None:
+        """Add an uncovered point; a tie keeps the combination sorting first."""
+        for i, (k, existing) in enumerate(self.points):
+            if k == key:
                 if (combination_sort_key(existing.combination)
                         <= combination_sort_key(bound.combination)):
                     return
-                self.points.remove(existing)
+                del self.points[i]
                 break
-            if _dominates(existing.score, score):
-                return
-        self.points = [p for p in self.points
-                       if not (_dominates(score, p.score) and p.score != score)]
-        self.points.append(bound)
+        a, b = key
+        self.points = [(k, p) for k, p in self.points
+                       if not (a <= k[0] and b >= k[1])]
+        self.points.append((key, bound))
 
     def sorted(self) -> Tuple[DerivedBound, ...]:
-        return tuple(sorted(self.points, key=lambda p: (p.score[0], -p.score[1])))
+        return tuple(p for _, p in sorted(self.points,
+                                          key=lambda kp: (kp[0][0], -kp[0][1])))
 
 
-# which t-templates supply each x-parameter (index 1..3 -> t1..t3)
-_T_COVER = {
-    name: tuple(i for i in (1, 2, 3) if name in P.CONTAINING[i])
-    for name in P.X_PARAMS
-}
+# One integer row per template, in TEMPLATE_ORDER: the parameter exponents
+# (lhs minus rhs), the pattern-symbol counts, then the exponents of n and
+# of 1/m.  Adding rows multiplies templates, so a row sum is the combined
+# inequality before its pattern is simplified.
+_N_COL = _NPARAMS + len(_SYMBOL_ORDER)
+_M_COL = _N_COL + 1
+
+
+def _template_row(tmpl: InequalityTemplate) -> Tuple[int, ...]:
+    row = [0] * (_M_COL + 1)
+    for p, e in tmpl.lhs.items():
+        row[_PARAM_POS[p]] += e
+    for p, e in tmpl.rhs.items():
+        row[_PARAM_POS[p]] -= e
+    for s, e in tmpl.pattern.items():
+        row[_NPARAMS + _SYMBOL_ORDER.index(s)] += e
+    row[_N_COL] = tmpl.n_exp
+    row[_M_COL] = -tmpl.m_exp
+    return tuple(row)
+
+
+_ROWS = tuple((t.key, _template_row(t)) for t in build_inequalities())
+# the ten z-templates come first, then t1, t2, t3
+_Z_ROWS, _T_ROWS = _ROWS[:len(P.Z_PARAMS)], _ROWS[len(P.Z_PARAMS):]
+
+# which t-templates (index into _T_ROWS) supply each parameter position
+_T_COVER = tuple(tuple(i for i, (_, row) in enumerate(_T_ROWS) if row[pos] > 0)
+                 for pos in range(_NPARAMS))
 
 
 def search(
@@ -491,146 +518,91 @@ def search(
     packer = _Packer(lib, g_max)
     index = inequality_index()
     frontier = _Frontier()
+    scale = lcm(*range(1, g_max + 1))
     started = time.perf_counter()
-
-    z_keys = TEMPLATE_ORDER[:10]
     examined = 0
     complete = True
 
-    # per z-template data: lhs/rhs exponent vectors, pattern symbols
-    z_data = []
-    for key in z_keys:
-        tmpl = index[key]
-        lvec = [0] * _NPARAMS
-        for p, e in tmpl.lhs.items():
-            lvec[_PARAM_POS[p]] += e
-        rvec = [0] * _NPARAMS
-        for p, e in tmpl.rhs.items():
-            rvec[_PARAM_POS[p]] += e
-        z_data.append((key, tuple(lvec), tuple(rvec), tmpl))
-    t_vecs = {}
-    for i in (1, 2, 3):
-        vec = [0] * _NPARAMS
-        for p in P.CONTAINING[i]:
-            vec[_PARAM_POS[p]] = 1
-        t_vecs[i] = tuple(vec)
-
-    def candidate(combo_items: Tuple[Tuple[str, int], ...], vec: List[int],
-                  n_exp: int, m_exp: int, pattern: Dict[str, int]) -> None:
+    def candidate(items: Tuple[Tuple[str, int], ...], row: List[int]) -> None:
         nonlocal examined
         examined += 1
-        q, apps = pattern_reductions(pattern)
-        a_total = n_exp - q
-        feasible = 0
+        vec = row[:_NPARAMS]
+        raw_pattern = {s: e for s, e in zip(_SYMBOL_ORDER, row[_NPARAMS:_N_COL])
+                       if e}
+        q, apps = pattern_reductions(raw_pattern)
+        a_total, b_total = row[_N_COL] - q, row[_M_COL]
+        feasible = None
         for g in range(1, g_max + 1):
-            score = (Fraction(a_total, g), Fraction(m_exp, g))
-            if not frontier.covered(score):
-                feasible = len(packer.first_bases(vec))
-                break
-        else:
-            return
-        for g in range(1, feasible + 1):
-            score = (Fraction(a_total, g), Fraction(m_exp, g))
-            if frontier.covered(score):
+            key = (a_total * scale // g, b_total * scale // g)
+            if frontier.covered(key):
                 continue
-            combo = dict(combo_items)
-            part = packer.split(vec, g)
+            if feasible is None:
+                feasible = len(packer.first_bases(vec))
+            if g > feasible:
+                return
+            combo = dict(items)
             ineq = MonomialInequality(
                 combination=combo,
-                exponents={_PARAM_ORDER[i]: v
-                           for i, v in enumerate(vec) if v},
-                constant=_combo_constant(combo),
+                exponents={_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v},
+                constant=prod(index[k].constant ** m for k, m in items),
                 n_exp=a_total,
-                m_exp=m_exp,
+                m_exp=b_total,
                 pattern={},
             )
-            frontier.insert(DerivedBound(
+            frontier.insert(key, DerivedBound(
                 combination=combo,
                 inequality=ineq,
-                raw_pattern=dict(pattern),
+                raw_pattern=raw_pattern,
                 reductions=apps,
                 A=a_total,
-                B=m_exp,
+                B=b_total,
                 g=g,
-                partition=part,
+                partition=packer.split(vec, g),
             ))
 
-    def _combo_constant(combo: Combination) -> int:
-        c = 1
-        for key, mult in combo.items():
-            c *= index[key].constant ** mult
-        return c
-
-    def t_loop(combo_items, vec, n_exp, m_exp, pattern, remaining) -> bool:
+    def t_loop(items, row, remaining) -> bool:
         """Enumerate t1/t2/t3 multiplicities that clear all deficits."""
         nonlocal complete
-        deficits = {}
-        for pos, v in enumerate(vec):
-            if v < 0:
-                deficits[_PARAM_ORDER[pos]] = -v
-        lower = {1: 0, 2: 0, 3: 0}
-        for name, need in deficits.items():
-            cover = _T_COVER[name]
+        deficits = [(_T_COVER[pos], -v)
+                    for pos, v in enumerate(row[:_NPARAMS]) if v < 0]
+        lower = [0, 0, 0]
+        for cover, need in deficits:
             if len(cover) == 1:
                 lower[cover[0]] = max(lower[cover[0]], need)
-        if sum(lower.values()) > remaining:
+        if sum(lower) > remaining:
             return True
-        for a in range(lower[1], remaining + 1):
-            for b in range(lower[2], remaining - a + 1):
-                for c in range(lower[3], remaining - a - b + 1):
+        for a in range(lower[0], remaining + 1):
+            for b in range(lower[1], remaining - a + 1):
+                for c in range(lower[2], remaining - a - b + 1):
                     if node_limit is not None and examined >= node_limit:
                         complete = False
                         return False
-                    supply = {1: a, 2: b, 3: c}
-                    ok = all(
-                        sum(supply[i] for i in _T_COVER[name]) >= need
-                        for name, need in deficits.items()
-                    )
-                    if not ok:
+                    supply = (a, b, c)
+                    if any(sum(supply[i] for i in cover) < need
+                           for cover, need in deficits):
                         continue
-                    tvec = list(vec)
-                    for i, mult in supply.items():
+                    titems, trow = items, row
+                    for (key, t_row), mult in zip(_T_ROWS, supply):
                         if mult:
-                            for pos in range(_NPARAMS):
-                                tvec[pos] += t_vecs[i][pos] * mult
-                    tpattern = dict(pattern)
-                    titems = list(combo_items)
-                    te_n = n_exp
-                    te_m = m_exp
-                    for i, mult in supply.items():
-                        if mult:
-                            key = "t%d" % i
-                            titems.append((key, mult))
-                            tmpl = index[key]
-                            te_n += tmpl.n_exp * mult
-                            te_m += -tmpl.m_exp * mult
-                            sym = "n%d" % i
-                            tpattern[sym] = tpattern.get(sym, 0) + mult
-                    candidate(tuple(titems), tvec, te_n, te_m, tpattern)
+                            titems += ((key, mult),)
+                            trow = [v + mult * t for v, t in zip(trow, t_row)]
+                    candidate(titems, trow)
         return True
 
-    def z_loop(idx: int, combo_items, vec, n_exp, pattern, remaining) -> bool:
-        if idx == len(z_data) or remaining == 0:
-            return t_loop(combo_items, vec, n_exp, 0, pattern, remaining)
-        key, lvec, rvec, tmpl = z_data[idx]
-        if not z_loop(idx + 1, combo_items, vec, n_exp, pattern, remaining):
+    def z_loop(idx: int, items, row, remaining) -> bool:
+        if idx == len(_Z_ROWS) or remaining == 0:
+            return t_loop(items, row, remaining)
+        if not z_loop(idx + 1, items, row, remaining):
             return False
-        new_vec = vec
-        new_pattern = pattern
-        new_n = n_exp
+        key, z_row = _Z_ROWS[idx]
         for mult in range(1, remaining + 1):
-            new_vec = [v + l - r for v, l, r in zip(new_vec, lvec, rvec)]
-            new_pattern = dict(new_pattern)
-            for s, e in tmpl.pattern.items():
-                new_pattern[s] = new_pattern.get(s, 0) + e
-            new_n += tmpl.n_exp
-            new_items = combo_items + ((key, mult),)
-            if not z_loop(idx + 1, new_items, new_vec, new_n, new_pattern,
+            row = [v + z for v, z in zip(row, z_row)]
+            if not z_loop(idx + 1, items + ((key, mult),), row,
                           remaining - mult):
                 return False
         return True
 
-    z_loop(0, (), [0] * _NPARAMS, 0, {}, budget)
+    z_loop(0, (), [0] * (_M_COL + 1), budget)
     return SearchResult(
         frontier=frontier.sorted(),
         examined=examined,
@@ -693,6 +665,8 @@ def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
         raise InputError("witness has no %s field" % exc) from None
     except (TypeError, AttributeError, ValueError) as exc:
         raise InputError("malformed witness: %s" % exc) from None
+    if g < 1:
+        raise InputError("witness g must be >= 1, got %d" % g)
     raw = combine(combo)
     if dict(raw.pattern) != raw_pattern:
         raise InputError("witness raw pattern does not replay")

@@ -340,6 +340,7 @@ def _cmd_sweep(args) -> int:
     )
     if args.json:
         print(_json_line({
+            "complete": report.complete,
             "convention": report.convention,
             "failures": [
                 {"check": f.check, "denominators": list(f.denominators),

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from . import params as P
 from .catalog import ClosureRule, build_rules
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 
 ParamSet = FrozenSet[str]
 
@@ -75,13 +75,6 @@ def _default_compiled(convention: str) -> CompiledRules:
     return CompiledRules(build_rules(convention))
 
 
-def compile_rules(rules: Optional[Sequence[ClosureRule]] = None,
-                  convention: str = "standard") -> CompiledRules:
-    if rules is None:
-        return _default_compiled(convention)
-    return CompiledRules(rules)
-
-
 def _to_mask(s: Iterable[str] | int) -> int:
     if isinstance(s, int):
         if s < 0 or s > P.ALL_MASK:
@@ -90,42 +83,31 @@ def _to_mask(s: Iterable[str] | int) -> int:
     return P.params_to_mask(s)
 
 
-def closure(s: Iterable[str] | int,
-            rules: Optional[Sequence[ClosureRule]] = None,
-            convention: str = "standard") -> ParamSet:
+def closure(s: Iterable[str] | int, convention: str = "standard") -> ParamSet:
     """Least fixpoint of the rule system above the given set."""
-    compiled = compile_rules(rules, convention)
+    compiled = _default_compiled(convention)
     return frozenset(P.mask_to_params(compiled.closure_mask(_to_mask(s))))
 
 
-def is_defining(s: Iterable[str] | int,
-                rules: Optional[Sequence[ClosureRule]] = None,
-                convention: str = "standard") -> bool:
+def is_defining(s: Iterable[str] | int, convention: str = "standard") -> bool:
     """True iff the closure of s covers all eleven x-parameters."""
-    compiled = compile_rules(rules, convention)
+    compiled = _default_compiled(convention)
     return P.X_MASK & ~compiled.closure_mask(_to_mask(s)) == 0
 
 
-def minimal_defining_sets(
-    max_size: int,
-    rules: Optional[Sequence[ClosureRule]] = None,
-    convention: str = "standard",
-    budget: Optional[int] = None,
-) -> List[ParamSet]:
+def minimal_defining_sets(max_size: int,
+                          convention: str = "standard") -> List[ParamSet]:
     """All inclusion-minimal defining sets of cardinality <= max_size.
 
     Candidates are enumerated size by size in canonical parameter order;
     supersets of already-found minimal sets are skipped, so every reported
-    set is minimal by construction.  `budget` caps the number of examined
-    candidates (closure computations); exceeding it raises
-    BudgetExceededError.
+    set is minimal by construction.
     """
     if not 0 <= max_size <= P.N_PARAMS:
         raise InputError("max_size must be between 0 and %d" % P.N_PARAMS)
-    compiled = compile_rules(rules, convention)
+    compiled = _default_compiled(convention)
     found_masks: List[int] = []
     found_sets: List[ParamSet] = []
-    examined = 0
     for size in range(1, max_size + 1):
         for idxs in combinations(range(P.N_PARAMS), size):
             mask = 0
@@ -133,11 +115,6 @@ def minimal_defining_sets(
                 mask |= 1 << i
             if any(f & ~mask == 0 for f in found_masks):
                 continue
-            examined += 1
-            if budget is not None and examined > budget:
-                raise BudgetExceededError(
-                    "defining-set enumeration stopped", examined, budget
-                )
             if P.X_MASK & ~compiled.closure_mask(mask) == 0:
                 found_masks.append(mask)
                 found_sets.append(frozenset(P.mask_to_params(mask)))
@@ -151,12 +128,10 @@ def sort_sets(sets: Iterable[ParamSet]) -> List[ParamSet]:
     )
 
 
-def closure_report(s: Iterable[str] | int,
-                   rules: Optional[Sequence[ClosureRule]] = None,
-                   convention: str = "standard") -> Dict:
+def closure_report(s: Iterable[str] | int, convention: str = "standard") -> Dict:
     """JSON-ready summary of one closure query."""
     mask = _to_mask(s)
-    compiled = compile_rules(rules, convention)
+    compiled = _default_compiled(convention)
     closed = compiled.closure_mask(mask)
     return {
         "set": list(P.mask_to_params(mask)),

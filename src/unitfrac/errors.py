@@ -34,14 +34,5 @@ class InvariantError(UnitfracError, RuntimeError):
     """An internal invariant that should hold for valid inputs was violated."""
 
 
-class BudgetExceededError(UnitfracError, RuntimeError):
-    """An exhaustive routine hit its configured work budget."""
-
-    def __init__(self, message: str, spent: int, budget: int):
-        self.spent = spent
-        self.budget = budget
-        super().__init__("%s (spent %d of budget %d)" % (message, spent, budget))
-
-
 class UnclearedDenominatorError(UnitfracError, ArithmeticError):
     """Combining inequalities left a fractional coefficient uncleared."""

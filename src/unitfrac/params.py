@@ -45,7 +45,6 @@ Z_PARAMS = tuple(z_name(J) for J in Z_SUBSETS)
 PARAM_ORDER = X_PARAMS + Z_PARAMS
 PARAM_INDEX = {p: i for i, p in enumerate(PARAM_ORDER)}
 N_PARAMS = len(PARAM_ORDER)
-ALL_PARAMS = frozenset(PARAM_ORDER)
 ALL_MASK = (1 << N_PARAMS) - 1
 X_MASK = sum(1 << PARAM_INDEX[p] for p in X_PARAMS)
 

@@ -184,6 +184,7 @@ class SweepReport:
     skipped: int = 0
     failures: List[SweepFailure] = field(default_factory=list)
     elapsed: float = 0.0
+    complete: bool = True  # False when fail_limit stopped the sweep
 
     @property
     def ok(self) -> bool:
@@ -192,10 +193,11 @@ class SweepReport:
     def summary(self) -> str:
         return (
             "swept %d fractions / %d solutions (n <= %d, m <= %dn, %s): "
-            "%d failures, %d skipped, %.1fs"
+            "%d failures, %d skipped, %.1fs%s"
             % (self.fractions, self.solutions, self.n_max, self.m_factor,
                self.convention, len(self.failures), self.skipped,
-               self.elapsed)
+               self.elapsed,
+               "" if self.complete else "; PARTIAL: stopped at the fail limit")
         )
 
 
@@ -208,12 +210,12 @@ def sweep_soundness(
 ) -> SweepReport:
     """Check every solution of every reduced m/n in the rectangle.
 
-    Every failed check is recorded as a SweepFailure (up to fail_limit,
-    if given).  Under the "reduced" convention, solutions whose pair
-    quotients are non-integral have no decomposition and are counted in
-    `skipped` instead; under "standard" a non-integral quotient is a
-    failure.  `progress`, if given, is called after each n with (n,
-    report-so-far).
+    Every failed check is recorded as a SweepFailure.  Reaching
+    fail_limit, if given, stops the sweep with complete=False.  Under the
+    "reduced" convention, solutions whose pair quotients are non-integral
+    have no decomposition and are counted in `skipped` instead; under
+    "standard" a non-integral quotient is a failure.  `progress`, if
+    given, is called after each n with (n, report-so-far).
     """
     check_convention(convention)
     if n_max < 1:
@@ -247,18 +249,17 @@ def sweep_soundness(
                      a[2] // pattern[2], a[3] // pattern[3])
                 x = layered_gcds(*t)
                 if x[n_x:] != (1, 1, 1, 1):
-                    for name, value in zip(X_VALUES[n_x:], x[n_x:]):
-                        if value != 1:
-                            report.failures.append(
-                                SweepFailure(m, n, a, "singleton:" + name))
-                    continue
-                fails = checker(m, n, *data, *x[:n_x], *t)
+                    fails = ["singleton:" + name for name, value
+                             in zip(X_VALUES[n_x:], x[n_x:]) if value != 1]
+                else:
+                    fails = checker(m, n, *data, *x[:n_x], *t)
                 for key in fails:
                     if skip_integrality and key.startswith("zint:"):
                         report.skipped += 1
                     else:
                         report.failures.append(SweepFailure(m, n, a, key))
                 if fail_limit is not None and len(report.failures) >= fail_limit:
+                    report.complete = False
                     report.elapsed = time.perf_counter() - started
                     return report
         if progress is not None:

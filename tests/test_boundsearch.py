@@ -230,6 +230,11 @@ def test_search_reproduces_both_reference_bounds():
             if bound.score != target.score:
                 assert not (bound.score[0] <= target.score[0]
                             and bound.score[1] >= target.score[1])
+    # every witness re-derives through combine() and simplify_pattern()
+    witnesses = [witness_to_json(b) for b in result.frontier]
+    assert len(witnesses) == 34
+    for w in witnesses:
+        assert witness_to_json(replay_witness(json.loads(w))) == w
 
 
 def test_witness_roundtrip_and_tamper_detection():
@@ -247,6 +252,11 @@ def test_witness_roundtrip_and_tamper_detection():
     worse["A"] = worse["A"] - 1
     with pytest.raises(InputError):
         replay_witness(worse)
+    empty = json.loads(witness_to_json(bound))
+    empty["g"] = 0
+    empty["partition"]["bases"] = []
+    with pytest.raises(InputError):
+        replay_witness(empty)
 
 
 def test_witness_json_is_deterministic():

@@ -219,6 +219,14 @@ def test_replay_rejects_tampered_witness(capsys, tmp_path):
     rc, _, err = run(capsys, "replay", "--witness", str(path))
     assert rc == 1
     assert err.startswith("error:")
+    # g = 0 with no bases certifies nothing
+    doc = json.loads(out.splitlines()[0])
+    doc["g"] = 0
+    doc["partition"]["bases"] = []
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    rc, _, err = run(capsys, "replay", "--witness", str(path))
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_replay_rejects_non_object_line(capsys, tmp_path):
@@ -344,10 +352,24 @@ def test_lift_report_rejects_large_nmax(capsys):
 def test_sweep_json_quiet(capsys):
     rc, out, err = run(capsys, "sweep", "--nmax", "4", "--quiet", "--json")
     assert rc == 0
-    assert out == ('{"convention": "standard", "failures": [],'
-                   ' "fractions": 24, "m_factor": 4, "n_max": 4,'
-                   ' "skipped": 0, "solutions": 1408}\n')
+    assert out == ('{"complete": true, "convention": "standard",'
+                   ' "failures": [], "fractions": 24, "m_factor": 4,'
+                   ' "n_max": 4, "skipped": 0, "solutions": 1408}\n')
     assert err == ""
+
+
+def test_sweep_stopped_at_fail_limit_is_flagged(capsys, monkeypatch):
+    monkeypatch.setattr("unitfrac.sweep.compiled_checker",
+                        lambda convention: lambda *args: ["master"])
+    rc, out, _ = run(capsys, "sweep", "--nmax", "4", "--quiet", "--json",
+                     "--fail-limit", "1")
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["complete"] is False and len(doc["failures"]) == 1
+    rc, out, _ = run(capsys, "sweep", "--nmax", "4", "--quiet",
+                     "--fail-limit", "1")
+    assert rc == 2
+    assert "PARTIAL: stopped at the fail limit" in out.splitlines()[0]
 
 
 def test_sweep_progress_on_stderr(capsys):

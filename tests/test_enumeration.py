@@ -17,9 +17,13 @@ from unitfrac.errors import InputError
 
 
 def test_known_counts():
+    # f_k(1, 1) is OEIS A002966: 1, 1, 3, 14, 147, 3462
+    assert count_representations(1, 1, 1) == 1
+    assert count_representations(1, 1, 2) == 1
     assert count_representations(1, 1, 3) == 3
     assert count_representations(1, 1, 4) == 14
     assert count_representations(1, 1, 5) == 147
+    assert count_representations(1, 1, 6) == 3462
     assert count_representations(1, 2, 5) == 2892
 
 

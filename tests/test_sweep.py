@@ -11,7 +11,8 @@ from unitfrac.catalog import build_inequalities, build_rules
 from unitfrac.decomposition import decompose
 from unitfrac.enumeration import enumerate_representations
 from unitfrac.errors import InputError
-from unitfrac.sweep import checker_source, compiled_checker, sweep_soundness
+from unitfrac.sweep import (checker_source, compiled_checker, layered_gcds,
+                            sweep_soundness)
 
 ARG_ORDER = (("m", "n")
              + tuple("n%d" % i for i in P.INDICES)
@@ -108,3 +109,21 @@ def test_sweep_input_validation():
         sweep_soundness(n_max=5, convention="other")
     with pytest.raises(InputError):
         sweep_soundness(n_max=5, fail_limit=0)
+
+
+def test_fail_limit_marks_sweep_incomplete(monkeypatch):
+    full = sweep_soundness(n_max=5)
+    assert full.complete and "PARTIAL" not in full.summary()
+    monkeypatch.setattr("unitfrac.sweep.compiled_checker",
+                        lambda convention: lambda *args: ["master"])
+    report = sweep_soundness(n_max=5, fail_limit=1)
+    assert not report.complete
+    assert len(report.failures) == 1 and report.solutions == 1
+    assert report.summary().endswith("; PARTIAL: stopped at the fail limit")
+    # a failed singleton gcd counts against the limit too
+    real = layered_gcds
+    monkeypatch.setattr("unitfrac.sweep.layered_gcds",
+                        lambda *t: real(*t)[:-1] + (2,))
+    report = sweep_soundness(n_max=5, fail_limit=1)
+    assert not report.complete
+    assert [f.check for f in report.failures] == ["singleton:x4"]
