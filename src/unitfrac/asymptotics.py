@@ -205,7 +205,8 @@ def bound_report(m: int, n: int) -> BoundReport:
     c = log(m)/log(n) is irrational in general; the region is the number
     of breakpoints p/q with m^q > n^p, compared exactly, so a c on a
     breakpoint falls in the region on its left as in regime().  Floats
-    appear only in the reported magnitudes.
+    appear only in the reported magnitudes; an n whose magnitudes do not
+    fit a float is an InputError.
     """
     if n < 2:
         raise InputError("n must be >= 2 to define c = log(m)/log(n)")
@@ -214,10 +215,14 @@ def bound_report(m: int, n: int) -> BoundReport:
     region = sum(m ** p.denominator > n ** p.numerator for p in breakpoints())
     c_float = math.log(m) / math.log(n)
     formula = regime_table()[region][2]
-    values = tuple(
-        float(n) ** float(f.intercept) * float(m) ** float(f.slope)
-        for f in FORMULAS
-    )
+    try:
+        values = tuple(
+            float(n) ** float(f.intercept) * float(m) ** float(f.slope)
+            for f in FORMULAS
+        )
+    except OverflowError:
+        raise InputError("n is too large (%d digits): the bound magnitudes"
+                         " do not fit a float" % len(str(n)))
     return BoundReport(m=m, n=n, c_float=c_float, region=region,
                        formula=formula, values=values)
 

@@ -28,11 +28,10 @@ over an environment dict as produced by Decomposition.env().
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, List, Mapping, Sequence, Tuple
 
 from . import params as P
 from .params import check_convention
@@ -105,21 +104,6 @@ class Term:
         return coeff or body or "1"
 
 
-def _check_terms(lhs: Term, rhs: Tuple[Term, ...]) -> Callable[[Env], bool]:
-    def check(env: Env) -> bool:
-        lnum, lden = lhs.numden(env)
-        parts = [t.numden(env) for t in rhs]
-        scale = lden
-        for _, den in parts:
-            scale = scale * den // math.gcd(scale, den)
-        total = 0
-        for num, den in parts:
-            total += num * (scale // den)
-        return lnum * (scale // lden) == total
-
-    return check
-
-
 def _sides_terms(lhs: Term, rhs: Tuple[Term, ...]):
     def sides(env: Env):
         return lhs.value(env), tuple(t.value(env) for t in rhs)
@@ -139,7 +123,8 @@ class ClosureRule:
     fire; firing bounds every parameter in `outputs` by a divisor count.
     `terms` holds the symbolic form (lhs, rhs-tuple) for families 2-8 and
     is empty for family 1, whose constants are assembled at evaluation
-    time from the master equation.
+    time from the master equation.  `sides(env)` gives the exact values
+    (left, parts) of both sides; the rule holds when left == sum(parts).
     """
 
     family: int
@@ -148,11 +133,11 @@ class ClosureRule:
     outputs: frozenset
     equation: str
     terms: Tuple = ()
-    check: Callable[[Env], bool] = field(compare=False, repr=False, default=None)
     sides: Callable[[Env], Tuple] = field(compare=False, repr=False, default=None)
 
     def evaluate(self, env: Env) -> bool:
-        return self.check(env)
+        left, parts = self.sides(env)
+        return left == sum(parts)
 
 
 FAMILY_NAMES = {
@@ -187,7 +172,6 @@ def _make_rule(family: int, key: str, inputs, outputs, lhs: Term,
         outputs=frozenset(outputs),
         equation="%s = %s" % (lhs, " + ".join(str(t) for t in rhs)),
         terms=(lhs, rhs),
-        check=_check_terms(lhs, rhs),
         sides=_sides_terms(lhs, rhs),
     )
 
@@ -222,14 +206,6 @@ def _factor_rule(pj: str, pk: str) -> ClosureRule:
                 c00 -= v
         return c11, c10, c01, c00
 
-    def check(env: Env) -> bool:
-        c11, c10, c01, c00 = classes(env)
-        xj = env[pj]
-        xk = env[pk]
-        if c11:
-            return (c11 * xj + c01) * (c11 * xk + c10) == c01 * c10 - c11 * c00
-        return c10 * xj + c01 * xk + c00 == 0
-
     def sides(env: Env):
         c11, c10, c01, c00 = classes(env)
         xj = env[pj]
@@ -249,7 +225,6 @@ def _factor_rule(pj: str, pk: str) -> ClosureRule:
             "{%s, %s}" % (pj, pk)
         ),
         terms=(),
-        check=check,
         sides=sides,
     )
 
@@ -564,6 +539,4 @@ def inequality_index() -> Mapping[str, InequalityTemplate]:
 def evaluate_rule(rule, dec_or_env) -> bool:
     """True iff the rule/template holds on the decomposition (exactly / as <=)."""
     env = dec_or_env.env() if hasattr(dec_or_env, "env") else dec_or_env
-    if isinstance(rule, InequalityTemplate):
-        return rule.evaluate(env)
-    return rule.check(env)
+    return rule.evaluate(env)

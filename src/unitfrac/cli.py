@@ -33,9 +33,6 @@ from .errors import (
 )
 from .sweep import sweep_soundness
 
-THREADS_ENV = "UNITFRAC_THREADS"
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems as InputError (exit 1)."""
 
@@ -84,21 +81,6 @@ def _parse_width(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError("width must be a rational like 1e-7 or 1/10000000")
-
-
-def _resolve_threads(value: Optional[int]) -> int:
-    if value is None:
-        raw = os.environ.get(THREADS_ENV)
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InputError(
-                "%s must be a positive integer, got %r" % (THREADS_ENV, raw))
-    if value < 1:
-        raise InputError("thread count must be >= 1, got %d" % value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +362,6 @@ def _add_json(parser: _Parser) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="unitfrac",
                      description="unit-fraction representation workbench")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker count (default: $%s or 1)"
-                             % THREADS_ENV)
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
     sub.required = True
@@ -503,7 +482,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _resolve_threads(args.threads)
         return args.func(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -31,7 +31,6 @@ from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import params as P
-from .arith import gcd
 from .errors import InputError, IntegralityError, InvariantError
 from .params import check_convention
 
@@ -74,7 +73,7 @@ def pattern_of(denominators: Sequence[int], n: int) -> Tuple[int, ...]:
     """Componentwise gcd of the denominators with n."""
     if n <= 0:
         raise InputError("n must be positive, got %d" % n)
-    return tuple(gcd(a, n) for a in denominators)
+    return tuple(math.gcd(a, n) for a in denominators)
 
 
 def pattern_data(n: int, pattern: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -345,7 +344,7 @@ def verify(dec: Decomposition) -> VerificationReport:
     bad = [
         (p, q)
         for p, q in INCOMPARABLE_PAIRS
-        if gcd(dec.x[p], dec.x[q]) != 1
+        if math.gcd(dec.x[p], dec.x[q]) != 1
     ]
     checks.append(
         CheckResult(
@@ -366,7 +365,7 @@ def verify(dec: Decomposition) -> VerificationReport:
         )
     )
 
-    cof = tuple(gcd(dec.t[i - 1], dec.n // dec.pattern[i - 1]) for i in P.INDICES)
+    cof = tuple(math.gcd(dec.t[i - 1], dec.n // dec.pattern[i - 1]) for i in P.INDICES)
     checks.append(
         CheckResult(
             "cofactor-coprime",

@@ -8,8 +8,10 @@ next denominator a satisfies
     max(previous, floor(q/p) + 1)  <=  a  <=  floor(j*q/p),
 
 and the final two denominators are read off from the divisors of q^2 via
-(p*a - q)(p*b - q) = q^2 instead of a scan.  A plain scanning tail is kept
-as an independent oracle (enumerate_naive) for equivalence testing.
+(p*a - q)(p*b - q) = q^2 instead of a scan.  The divisors up to q are
+built from the factorization of q, and only those giving an integral
+a >= previous are kept.  A plain scanning tail is kept as an independent
+oracle (enumerate_naive) for equivalence testing.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, List, Tuple
 
-from .arith import divisors_from_factorization, factorize, reduce_fraction
+from .arith import factorize, reduce_fraction
 from .errors import InputError
 
 MAX_TERMS = 6
@@ -65,20 +67,30 @@ def _check_query(m: int, n: int, k: int) -> Tuple[int, int]:
     return reduce_fraction(m, n)
 
 
-def _tail_pairs(prev: int, p: int, q: int) -> Iterator[Tuple[int, int]]:
+def _tail_pairs(prev: int, p: int, q: int) -> List[Tuple[int, int]]:
     # 1/a + 1/b = p/q, prev <= a <= b, via (p*a - q)(p*b - q) = q^2.
-    # d1 = p*a - q runs over divisors of q^2 up to q, ascending, so the
-    # emitted pairs are in lexicographic order.
+    # d = p*a - q runs over the divisors of q^2 up to q, built from the
+    # factorization of q; a product d * pr^i is formed only when it stays
+    # <= q.  Only those with d = -q (mod p) and a >= prev are kept, and
+    # sorting the pairs by a puts them in lexicographic order.
+    divs = [1]
+    for pr, e in factorize(q).items():
+        grown = []
+        pk = 1
+        for _ in range(2 * e):
+            pk *= pr
+            if pk > q:
+                break
+            lim = q // pk
+            grown += [d * pk for d in divs if d <= lim]
+        divs += grown
     qq = q * q
-    fac = {pr: 2 * e for pr, e in factorize(q).items()}
-    for d1 in divisors_from_factorization(fac, limit=q):
-        if (d1 + q) % p:
-            continue
-        a = (d1 + q) // p
-        if a < prev:
-            continue
-        b = (qq // d1 + q) // p
-        yield a, b
+    lo = p * prev - q
+    r = -q % p
+    pairs = [((d + q) // p, (qq // d + q) // p)
+             for d in divs if d >= lo and d % p == r]
+    pairs.sort()
+    return pairs
 
 
 def _iter_raw(prev: int, p: int, q: int, j: int, divisor_tail: bool) -> Iterator[tuple]:
@@ -87,8 +99,7 @@ def _iter_raw(prev: int, p: int, q: int, j: int, divisor_tail: bool) -> Iterator
             yield (q // p,)
         return
     if j == 2 and divisor_tail:
-        for a, b in _tail_pairs(prev, p, q):
-            yield (a, b)
+        yield from _tail_pairs(prev, p, q)
         return
     lo = max(prev, q // p + 1)
     hi = (j * q) // p

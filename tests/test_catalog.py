@@ -83,6 +83,17 @@ def test_rule_check_on_worked_example():
     left, parts = index["tprod:z234"].sides(dec.env())
     assert (left, tuple(parts)) == (2, (1, 1))
     assert evaluate_rule(index["zpair:z34"], dec) is True
+    # x24 corrupted (2 -> 3): every rule evaluates, and rules of family 1
+    # and of families 2-8 both fail
+    for convention in P.CONVENTIONS:
+        env = dict(decompose((2, 4, 6, 12), 1, convention=convention).env())
+        env["x24"] = 3
+        results = {rule.key: evaluate_rule(rule, env)
+                   for rule in build_rules(convention)}
+        assert all(isinstance(ok, bool) for ok in results.values())
+        failing = {rule.family for rule in build_rules(convention)
+                   if not results[rule.key]}
+        assert 1 in failing and failing - {1}, convention
 
 
 def test_conventions_differ_only_where_pair_quotients_appear():

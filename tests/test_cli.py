@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import unitfrac
 from unitfrac import catalog as cat
 from unitfrac.cli import main
 
@@ -385,16 +387,6 @@ def test_sweep_rejects_zero_fail_limit(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_threads_flag_and_env(capsys, monkeypatch):
-    assert run(capsys, "--threads", "2", "count", "1", "1", "3")[0] == 0
-    assert run(capsys, "--threads", "0", "count", "1", "1", "3")[0] == 1
-    monkeypatch.setenv("UNITFRAC_THREADS", "oops")
-    assert run(capsys, "count", "1", "1", "3")[0] == 1
-    monkeypatch.setenv("UNITFRAC_THREADS", "4")
-    rc, out, _ = run(capsys, "count", "1", "1", "3")
-    assert rc == 0 and out == "3\n"
-
-
 def test_closed_stdout_exits_one_quietly(capsys, monkeypatch, tmp_path):
     class ClosedPipe:
         def __init__(self, fd):
@@ -426,6 +418,27 @@ def test_invalid_inputs_exit_one(capsys):
     assert run(capsys, "count", "1", "0", "3")[0] == 1  # zero denominator
     assert run(capsys, "nonsense")[0] == 1              # unknown command
     assert run(capsys)[0] == 1                          # missing command
+    assert run(capsys, "--threads", "2", "count", "1", "1", "3")[0] == 1
+    # bound magnitudes that overflow a float: the power, then n itself
+    for m, n in ((1, 10 ** 200), (2, 10 ** 400)):
+        rc, out, err = run(capsys, "bound", str(m), str(n))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(unitfrac.__file__))
+    ok = subprocess.run([sys.executable, "-m", "unitfrac", "count", "1", "1",
+                         "4"], capture_output=True, text=True, env=env)
+    assert ok.returncode == 0
+    assert ok.stdout == "14\n"
+    bad = subprocess.run([sys.executable, "-m", "unitfrac", "count", "1", "0",
+                          "3"], capture_output=True, text=True, env=env)
+    assert bad.returncode == 1
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error:") and bad.stderr.count("\n") == 1
 
 
 def test_library_file_flows_into_search(capsys, tmp_path):

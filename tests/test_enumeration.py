@@ -6,12 +6,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unitfrac.enumeration import (
     MAX_TERMS,
     count_representations,
     enumerate_naive,
     enumerate_representations,
+    iter_raw_solutions,
 )
 from unitfrac.errors import InputError
 
@@ -65,6 +68,17 @@ def test_oracle_agreement_small():
                 naive = [tuple(s)
                          for s in enumerate_naive(m, n, k).solutions]
                 assert fast == naive, (m, n, k)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 300).flatmap(
+           lambda n: st.tuples(st.integers(1, 4 * n), st.just(n))),
+       st.sampled_from((2, 3)))
+def test_divisor_tail_keeps_lexicographic_order(fraction, k):
+    m, n = fraction
+    assume(gcd(m, n) == 1)
+    assert list(iter_raw_solutions(m, n, k)) == list(
+        iter_raw_solutions(m, n, k, divisor_tail=False))
 
 
 def test_non_reduced_input_equals_reduced():
