@@ -285,8 +285,12 @@ def _cmd_sylvester(args) -> int:
         }))
         return 0
     print("u: %s" % ", ".join(str(v) for v in state.u))
-    print("enclosure: [%.12f, %.12f], width %.3g"
-          % (float(lo), float(hi), float(state.width)))
+    # round outward, so the printed interval still contains the constant
+    scale = 10 ** 12
+    lo_12 = lo.numerator * scale // lo.denominator
+    hi_12 = -(-hi.numerator * scale // hi.denominator)
+    print("enclosure: [%d.%012d, %d.%012d], width %.3g"
+          % (*divmod(lo_12, scale), *divmod(hi_12, scale), float(state.width)))
     if prefix is not None:
         text = str(prefix)
         print("certified: %s.%s" % (text[0], text[1:]))

@@ -12,6 +12,10 @@ and the final two denominators are read off from the divisors of q^2 via
 built from the factorization of q, and only those giving an integral
 a >= previous are kept.  A plain scanning tail is kept as an independent
 oracle (enumerate_naive) for equivalence testing.
+
+count_representations runs the same recursion on ints: its two-term tail
+counts the admissible divisors instead of turning them into pairs, so no
+solution tuple is built.
 """
 
 from __future__ import annotations
@@ -67,28 +71,32 @@ def _check_query(m: int, n: int, k: int) -> Tuple[int, int]:
     return reduce_fraction(m, n)
 
 
-def _tail_pairs(prev: int, p: int, q: int) -> List[Tuple[int, int]]:
+def _tail_divisors(prev: int, p: int, q: int) -> List[int]:
     # 1/a + 1/b = p/q, prev <= a <= b, via (p*a - q)(p*b - q) = q^2.
     # d = p*a - q runs over the divisors of q^2 up to q, built from the
     # factorization of q; a product d * pr^i is formed only when it stays
-    # <= q.  Only those with d = -q (mod p) and a >= prev are kept, and
-    # sorting the pairs by a puts them in lexicographic order.
+    # <= q, so each power of pr multiplies only the survivors of the one
+    # below it.  Only those with d = -q (mod p) and a >= prev are kept, in
+    # no particular order; each one gives exactly one pair (a, b).
     divs = [1]
     for pr, e in factorize(q).items():
-        grown = []
-        pk = 1
+        lim = q // pr
+        grown = divs
         for _ in range(2 * e):
-            pk *= pr
-            if pk > q:
+            grown = [d * pr for d in grown if d <= lim]
+            if not grown:
                 break
-            lim = q // pk
-            grown += [d * pk for d in divs if d <= lim]
-        divs += grown
-    qq = q * q
+            divs += grown
     lo = p * prev - q
     r = -q % p
+    return [d for d in divs if d % p == r and d >= lo]
+
+
+def _tail_pairs(prev: int, p: int, q: int) -> List[Tuple[int, int]]:
+    # sorting the pairs by a puts them in lexicographic order
+    qq = q * q
     pairs = [((d + q) // p, (qq // d + q) // p)
-             for d in divs if d >= lo and d % p == r]
+             for d in _tail_divisors(prev, p, q)]
     pairs.sort()
     return pairs
 
@@ -157,9 +165,22 @@ def enumerate_naive(m: int, n: int, k: int, cap: int | None = None) -> Enumerati
     return _collect(m, n, k, cap, divisor_tail=False)
 
 
-def count_representations(m: int, n: int, k: int) -> int:
-    """Number of representations, streaming (nothing materialized)."""
+def _count(prev: int, p: int, q: int, j: int) -> int:
+    # _iter_raw with divisor_tail=True, returning how many tuples it
+    # would yield instead of yielding them
+    if j == 1:
+        return 1 if q % p == 0 and q // p >= prev else 0
+    if j == 2:
+        return len(_tail_divisors(prev, p, q))
     total = 0
-    for _ in iter_raw_solutions(m, n, k):
-        total += 1
+    for a in range(max(prev, q // p + 1), (j * q) // p + 1):
+        np_, nq = p * a - q, q * a
+        g = gcd(np_, nq)
+        total += _count(a, np_ // g, nq // g, j - 1)
     return total
+
+
+def count_representations(m: int, n: int, k: int) -> int:
+    """Number of representations, counted without building any tuple."""
+    p, q = _check_query(m, n, k)
+    return _count(1, p, q, k) if k else 0

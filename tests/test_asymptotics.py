@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import iv
 
 from unitfrac.asymptotics import (
     FORMULAS,
@@ -253,6 +254,25 @@ def test_sylvester_brackets_nest_and_roots_increase():
         assert u <= 2 ** (2 ** k) // 2
         if k + 1 < len(state.u):
             assert state.u[k + 1] >= u * u
+
+
+def test_sylvester_digits_by_interval_logarithms():
+    # Independent of sqrt_bracket: with u_{k+1} = u_k(u_k + 1),
+    # log u_{k+1} = 2 log u_k + log(1 + 1/u_k), so L = log of the constant
+    # satisfies 0 <= L - log(u_k)/2^k <= sum_{i>=k} 1/(2^(i+1) u_i)
+    # <= 1/(2^k u_k).  Everything below is mpmath interval arithmetic at
+    # its default precision.
+    k, u = 6, 1
+    for _ in range(k):
+        u *= u + 1
+    base = iv.log(iv.mpf(u)) / 2 ** k
+    constant = iv.exp(base + iv.mpf([0, 1]) / (2 ** k * u))
+    prefix = sylvester(Fraction(1, 10 ** 7)).decimal_prefix(7)
+    assert prefix == 15979102
+    # comparisons of intervals are True only when certain
+    assert constant.a >= iv.mpf(prefix) / 10 ** 7
+    assert constant.b < iv.mpf(prefix + 1) / 10 ** 7
+    assert constant.delta < iv.mpf(1) / 10 ** 12
 
 
 def test_sylvester_larger_width_stops_earlier():

@@ -329,6 +329,15 @@ def test_sylvester_human_output(capsys):
     assert "certified: 1.5979102" in out
 
 
+def test_sylvester_enclosure_rounds_outward(capsys):
+    # the exact ends are 1.59791021803187... and 1.59791021803188...;
+    # rounding to nearest printed 1.597910218032 for both
+    rc, out, _ = run(capsys, "sylvester", "--width", "1e-40")
+    assert rc == 0
+    assert "enclosure: [1.597910218031, 1.597910218032], width 2e-42" in out
+    assert "certified: 1.597910218031" in out
+
+
 def test_sylvester_rejects_bad_width(capsys):
     assert run(capsys, "sylvester", "--width", "abc")[0] == 1
     assert run(capsys, "sylvester", "--width", "0")[0] == 1

@@ -81,6 +81,22 @@ def test_divisor_tail_keeps_lexicographic_order(fraction, k):
         iter_raw_solutions(m, n, k, divisor_tail=False))
 
 
+@settings(deadline=None)
+@given(st.integers(0, 5).flatmap(
+           lambda k: st.integers(1, 6 if k == 5 else 200).flatmap(
+               lambda n: st.tuples(st.integers(1, 4 * n), st.just(n),
+                                   st.just(k)))))
+def test_count_matches_stream(query):
+    # the counting recursion against the tuple stream it must agree with
+    m, n, k = query
+    assume(gcd(m, n) == 1)
+    # the tree grows fast as m/n shrinks; keep each example well under 1 s
+    assume(k < 4 or 20 * m >= n)
+    assume(k < 5 or 4 * m >= n)
+    assert count_representations(m, n, k) == sum(
+        1 for _ in iter_raw_solutions(m, n, k))
+
+
 def test_non_reduced_input_equals_reduced():
     assert count_representations(2, 4, 4) == count_representations(1, 2, 4)
     left = [tuple(s) for s in enumerate_representations(6, 9, 3).solutions]
