@@ -28,8 +28,6 @@ from typing import List, Optional, Tuple
 from .enumeration import count_representations
 from .errors import InputError
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class BoundFormula:

@@ -142,9 +142,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_catalog(args) -> int:
     rules = cat.build_rules(args.z_convention)
     if args.export:
-        text = cat.export_rules(rules)
         with open(args.export, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(cat.export_rules(rules))
     if args.json:
         for rule in rules:
             print(_json_line({
@@ -487,15 +486,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, UnclearedDenominatorError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (IntegralityError, InvariantError) as exc:
         print("finding: %s" % exc, file=sys.stderr)
         return 2
-    except UnclearedDenominatorError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader of stdout went away (e.g. `| head`): stop quietly and
         # point stdout at devnull, so the flush at exit cannot fail again

@@ -7,14 +7,18 @@ and every 4-term solution, check that the decomposition satisfies:
   - singleton relative gcds x_i = 1,
   - coprimality of cofactors with n/n_i and of incomparable x-pairs,
   - integrality of all ten z-quotients under the chosen convention,
-  - all 96 catalog rules,
   - all 13 inequality templates.
 
+The 96 catalog rules are not re-checked here: each is the master equation
+or a quotient definition rearranged, so it holds on every solution that
+passes the first and fourth checks.  The test
+`test_every_rule_follows_from_master_and_quotient_definitions` in
+tests/test_catalog.py proves this symbolically under both conventions.
+
 The hot loop runs a checker compiled once per convention from the same
-Term data that powers the reference evaluators in `catalog`; the compiled
-function works on flat local integers, which keeps the full n <= 50 sweep
-(2.3 million solutions) within a few minutes on one core.  Under the
-"reduced" convention the pair quotients are not always integral; such
+quotient lines that `decompose()` runs and from the inequality templates
+in `catalog`; the compiled function works on flat local integers.  Under
+the "reduced" convention the pair quotients are not always integral; such
 solutions carry no decomposition to check and are counted as skipped
 rather than failed.
 """
@@ -28,7 +32,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import params as P
-from .catalog import InequalityTemplate, Term, build_inequalities, build_rules
+from .catalog import InequalityTemplate, build_inequalities
 from .decomposition import (INCOMPARABLE_PAIRS, PATTERN_ARGS, X_VALUES,
                             function_source, layered_gcds, pattern_data,
                             product_expr, quotient_lines)
@@ -37,68 +41,6 @@ from .errors import InputError
 from .params import check_convention
 
 _CHECKER_NAME = "_check_solution"
-
-
-def _term_expr(term: Term) -> str:
-    """Numerator of a Term as a Python expression (den_syms handled by caller)."""
-    parts: List[str] = []
-    if term.m_exp == 1:
-        parts.append("m")
-    elif term.m_exp:
-        parts.append("m**%d" % term.m_exp)
-    parts.extend(term.num_syms)
-    parts.extend(term.params)
-    return product_expr(parts)
-
-
-def _rule_lines(rule) -> List[str]:
-    """Statements checking one family 2-8 rule, appending its key on failure."""
-    lhs, rhs = rule.terms
-    if lhs.den_syms:
-        raise AssertionError("unexpected lhs denominator in %s" % rule.key)
-    dens = {t.den_syms for t in rhs}
-    if len(dens) != 1:
-        raise AssertionError("mixed rhs denominators in %s" % rule.key)
-    den = next(iter(dens))
-    left = _term_expr(lhs)
-    if den:
-        left = "%s * %s" % (left, product_expr(den))
-    right = " + ".join(_term_expr(t) for t in rhs)
-    return ["if %s != %s:" % (left, right),
-            "    fails.append(%r)" % rule.key]
-
-
-def _factor_lines(rule) -> List[str]:
-    """Statements checking one family-1 rule via its four monomial classes."""
-    pj, pk = rule.key.split(":", 1)[1].split("*")
-    buckets: Dict[Tuple[bool, bool], List[int]] = {}
-    for i in P.INDICES:
-        has_j = pj in P.TERM_XPART[i]
-        has_k = pk in P.TERM_XPART[i]
-        buckets.setdefault((has_j, has_k), []).append(i)
-
-    def bucket_sum(key: Tuple[bool, bool], div: str) -> str:
-        idxs = buckets.get(key, ())
-        if not idxs:
-            return "0"
-        if div:
-            return " + ".join("term%d//%s" % (i, div) for i in idxs)
-        return " + ".join("term%d" % i for i in idxs)
-
-    lines = [
-        "_pjk = %s*%s" % (pj, pk),
-        "_c11 = mT//_pjk - (%s)" % bucket_sum((True, True), "_pjk"),
-        "_c10 = -(%s)" % bucket_sum((True, False), pj),
-        "_c01 = -(%s)" % bucket_sum((False, True), pk),
-        "_c00 = -(%s)" % bucket_sum((False, False), ""),
-        "if _c11:",
-        "    if (_c11*%s + _c01)*(_c11*%s + _c10) != _c01*_c10 - _c11*_c00:"
-        % (pj, pk),
-        "        fails.append(%r)" % rule.key,
-        "elif _c10*%s + _c01*%s + _c00 != 0:" % (pj, pk),
-        "    fails.append(%r)" % rule.key,
-    ]
-    return lines
 
 
 def _inequality_lines(tmpl: InequalityTemplate) -> List[str]:
@@ -136,11 +78,6 @@ def checker_source(convention: str = "standard") -> str:
         body += ["if _gcd(%s, %s) != 1:" % (a, b),
                  "    fails.append('coprime:%s*%s')" % (a, b)]
     body += quotients
-    for rule in build_rules(convention):
-        if rule.family == 1:
-            body += _factor_lines(rule)
-        else:
-            body += _rule_lines(rule)
     for tmpl in build_inequalities():
         body += _inequality_lines(tmpl)
     body.append("return fails")

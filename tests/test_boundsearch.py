@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from unitfrac.boundsearch import (
     simplify_pattern,
     witness_to_json,
 )
+from unitfrac.catalog import build_inequalities
 from unitfrac.closure import is_defining
 from unitfrac.decomposition import decompose
 from unitfrac.errors import InputError, UnclearedDenominatorError
@@ -235,6 +237,76 @@ def test_search_reproduces_both_reference_bounds():
     assert len(witnesses) == 34
     for w in witnesses:
         assert witness_to_json(replay_witness(json.loads(w))) == w
+
+
+def _most_disjoint_instances(pattern, instances):
+    """Most disjoint copies of the instances: every multiplicity of each."""
+    if not instances:
+        return 0
+    first, rest = instances[0], instances[1:]
+    best = _most_disjoint_instances(pattern, rest)
+    for k in range(1, min(pattern.get(s, 0) for s in first) + 1):
+        left = dict(pattern)
+        for s in first:
+            left[s] -= k
+        best = max(best, k + _most_disjoint_instances(left, rest))
+    return best
+
+
+def _packing_number(exps, library, g_max):
+    """Largest g <= g_max such that g library sets, repeats allowed, fit."""
+    best = 0
+
+    def grow(left, start, depth):
+        nonlocal best
+        best = max(best, depth)
+        for idx in range(start, len(library)):
+            if best < g_max and all(left.get(p, 0) >= 1 for p in library[idx]):
+                for p in library[idx]:
+                    left[p] -= 1
+                grow(left, idx, depth + 1)
+                for p in library[idx]:
+                    left[p] += 1
+
+    grow(dict(exps), 0, 0)
+    return best
+
+
+def test_search_frontier_is_complete_at_budget_six():
+    # every multiset of templates, multiplied out by hand, scored at every
+    # packable g, then the Pareto set by pairwise comparison
+    budget, g_max = 6, 6
+    library = default_library()
+    instances = [tuple("n%d" % i for i in J) + ("d" + "".join(map(str, J)),)
+                 for r in (2, 3) for J in combinations(P.INDICES, r)]
+    points = set()
+    clearable = 0
+    for total in range(1, budget + 1):
+        for multiset in combinations_with_replacement(build_inequalities(),
+                                                      total):
+            exps, pattern = {}, {}
+            n_exp = m_exp = 0
+            for tmpl in multiset:
+                for p, e in tmpl.lhs.items():
+                    exps[p] = exps.get(p, 0) + e
+                for p, e in tmpl.rhs.items():
+                    exps[p] = exps.get(p, 0) - e
+                for s, e in tmpl.pattern.items():
+                    pattern[s] = pattern.get(s, 0) + e
+                n_exp += tmpl.n_exp
+                m_exp -= tmpl.m_exp
+            if min(exps.values()) < 0:
+                continue
+            clearable += 1
+            a = n_exp - _most_disjoint_instances(pattern, instances)
+            for g in range(1, _packing_number(exps, library, g_max) + 1):
+                points.add((Fraction(a, g), Fraction(m_exp, g)))
+    pareto = {p for p in points
+              if not any(q != p and q[0] <= p[0] and q[1] >= p[1]
+                         for q in points)}
+    result = search(budget, g_max=g_max)
+    assert clearable + 1 == result.examined  # search also visits the empty one
+    assert {b.score for b in result.frontier} == pareto
 
 
 def test_witness_roundtrip_and_tamper_detection():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+import sympy
 
 from unitfrac import params as P
 from unitfrac.catalog import (
@@ -165,3 +167,82 @@ def test_inequality_worked_values():
 def test_convention_validation():
     with pytest.raises(InputError):
         build_rules("other")
+
+
+# ---------------------------------------------------------------------------
+# symbolic proof: every rule follows from the master equation and the
+# definitions of the z-quotients, so no solution can break one without
+# breaking those first.  Everything below is built from the paper's
+# parametrization directly; it reads only the rules' own data (Term fields)
+# and, for family 1, the catalog's own evaluator.
+
+_INDICES = (1, 2, 3, 4)
+_X_SETS = tuple(J for r in (2, 3, 4) for J in combinations(_INDICES, r))
+_Z_SETS = tuple(J for r in (2, 3) for J in combinations(_INDICES, r))
+
+
+def _name(prefix, J):
+    return prefix + "".join(str(i) for i in J)
+
+
+_SYM = {s: sympy.Symbol(s, positive=True, integer=True)
+        for s in ["m"] + ["nn%d" % i for i in _INDICES]
+        + [_name("x", J) for J in _X_SETS] + [_name("d", J) for J in _Z_SETS]}
+_X = {J: _SYM[_name("x", J)] for J in _X_SETS}
+# master equation  m * prod(x_J) = sum_i nn_i * prod(x_J : i not in J)
+_TERMS = {i: _SYM["nn%d" % i] * sympy.prod(x for J, x in _X.items()
+                                            if i not in J)
+          for i in _INDICES}
+_M_SOLVED = sum(_TERMS.values()) / sympy.prod(_X.values())
+
+
+def _quotients(convention):
+    """Each z_J as its defining quotient: sum(term_i : i in J) over its divisor."""
+    z = {}
+    for J in _Z_SETS:
+        den = _SYM[_name("d", J)] * _X[J]
+        if len(J) == 2:
+            kl = tuple(i for i in _INDICES if i not in J)
+            den *= _X[kl] ** (2 if convention == "reduced" else 1)
+        else:
+            den *= sympy.prod(_X[pair] for pair in combinations(J, 2))
+        z[_name("z", J)] = sum(_TERMS[i] for i in J) / den
+    return z
+
+
+def _term_value(term, values):
+    num = values["m"] ** term.m_exp
+    for s in term.num_syms + term.params:
+        num *= values[s]
+    return num / sympy.prod(values[s] for s in term.den_syms)
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_every_rule_follows_from_master_and_quotient_definitions(convention):
+    # Every denominator is a monomial, so expand() reaches a canonical
+    # Laurent polynomial: an identity expands to exactly 0.
+    values = dict(_SYM, m=_M_SOLVED, **_quotients(convention))
+    total = sum(_TERMS.values())
+    env = dict(_SYM, mT=_SYM["m"] * sympy.prod(_X.values()),
+               **{"term%d" % i: t for i, t in _TERMS.items()})
+    for rule in build_rules(convention):
+        if rule.family == 1:
+            # (C11*xj + C01)(C11*xk + C10) - (C01*C10 - C11*C00) is C11
+            # times the master difference mT - sum(terms), so it vanishes
+            # once m is solved from the master equation ...
+            left, (right,) = rule.sides(env)
+            diff = (left - right).subs(_SYM["m"], _M_SOLVED)
+            assert sympy.expand(diff) == 0, rule.key
+            # ... and C11 = 0 means mT is the sum of the terms holding both
+            # unknowns; the linear form is then the master difference.
+            J, K = (tuple(int(c) for c in p[1:])
+                    for p in rule.key.split(":", 1)[1].split("*"))
+            both = sum(_TERMS[i] for i in _INDICES if i not in J + K)
+            left, (right,) = rule.sides(dict(env, mT=both))
+            diff = left - right - (both - total)
+            assert sympy.expand(diff) == 0, rule.key
+        else:
+            lhs, rhs = rule.terms
+            diff = _term_value(lhs, values) - sum(_term_value(t, values)
+                                                  for t in rhs)
+            assert sympy.expand(diff) == 0, rule.key

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitfrac import params as P
 from unitfrac.catalog import build_inequalities, build_rules
@@ -62,6 +66,62 @@ def test_checker_flags_corrupted_solution():
     assert fails
     assert all(isinstance(key, str) for key in fails)
     assert compiled_checker("standard")(*good) == []
+
+
+# A reference for the checker's contract, from plain integer arithmetic
+# and the catalog's own inequality evaluator (no generated code).
+_SUBSETS = tuple(J for r in (2, 3, 4) for J in combinations(P.INDICES, r))
+_XNAME = {J: "x" + "".join(map(str, J)) for J in _SUBSETS}
+_INCOMPARABLE = tuple((J, K) for J, K in combinations(_SUBSETS, 2)
+                      if not set(J) <= set(K) and not set(K) <= set(J))
+_SOLUTIONS = tuple((m, n, tuple(sol)) for m, n in ((1, 1), (3, 7), (5, 6), (2, 5))
+                   for sol in enumerate_representations(m, n, 4).solutions)
+
+
+def _reference_keys(env, t, convention):
+    x = {J: env[_XNAME[J]] for J in _SUBSETS}
+    terms = {i: env["nn%d" % i] * math.prod(v for J, v in x.items()
+                                            if i not in J)
+             for i in P.INDICES}
+    env["mT"] = env["m"] * math.prod(x.values())
+    if env["mT"] != sum(terms.values()):
+        return ["master"]
+    fails = ["coprime:t%d" % i for i in P.INDICES
+             if math.gcd(t[i - 1], env["nn%d" % i]) != 1]
+    fails += ["coprime:%s*%s" % (_XNAME[J], _XNAME[K])
+              for J, K in _INCOMPARABLE if math.gcd(x[J], x[K]) != 1]
+    for J in P.PAIRS + P.TRIPLES:
+        name = "".join(map(str, J))
+        den = env["d" + name] * x[J]
+        if len(J) == 2:
+            kl = P.complement_pair(J)
+            den *= x[kl] ** (2 if convention == "reduced" else 1)
+        else:
+            den *= math.prod(x[pair] for pair in combinations(J, 2))
+        env["z" + name], r = divmod(sum(terms[i] for i in J), den)
+        if r:
+            return fails + ["zint:z" + name]
+    env.update(("term%d" % i, v) for i, v in terms.items())
+    for tmpl in build_inequalities():
+        left, right = tmpl.evaluate_sides(env)
+        if left > right:
+            fails.append("ineq:" + tmpl.key)
+    # past the master and quotient checks every catalog identity holds
+    assert [r.key for r in build_rules(convention) if not r.evaluate(env)] == []
+    return fails
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_SOLUTIONS), st.sampled_from(P.CONVENTIONS),
+       st.integers(0, len(ARG_ORDER) + 3), st.integers(1, 60))
+def test_checker_matches_reference_on_corrupted_arguments(
+        solution, convention, pos, value):
+    m, n, sol = solution
+    args = _checker_args(decompose(sol, Fraction(m, n)))
+    args[pos] = value
+    env = dict(zip(ARG_ORDER, args))
+    assert (compiled_checker(convention)(*args)
+            == _reference_keys(env, args[len(ARG_ORDER):], convention))
 
 
 def test_sweep_small_rectangle_standard():
