@@ -45,6 +45,7 @@ _NPARAMS = len(_PARAM_ORDER)
 
 # pattern-factor symbols, in display order
 _SYMBOL_ORDER: Tuple[str, ...] = P.PATTERN_SYMBOLS
+_SYMBOL_POS = {s: i for i, s in enumerate(_SYMBOL_ORDER)}
 
 
 def normalize_combination(combination: Combination) -> Dict[str, int]:
@@ -96,7 +97,7 @@ class MonomialInequality:
         den = [] if self.m_exp == 0 else [_format_power("m", self.m_exp)]
         den += [_format_power(s, e)
                 for s, e in sorted(self.pattern.items(),
-                                   key=lambda kv: _SYMBOL_ORDER.index(kv[0]))]
+                                   key=lambda kv: _SYMBOL_POS[kv[0]])]
         top = "*".join(num) if num else "1"
         if not den:
             return top
@@ -159,6 +160,9 @@ _PATTERN_INSTANCES: Tuple[Tuple[str, ...], ...] = tuple(
     tuple("n%d" % i for i in J) + (P.d_name(J),)
     for J in P.Z_SUBSETS
 )
+# each instance with the positions of its symbols; its d-symbol comes last
+_INSTANCE_POS = tuple((inst, tuple(_SYMBOL_POS[s] for s in inst))
+                      for inst in _PATTERN_INSTANCES)
 
 
 def pattern_reductions(
@@ -168,30 +172,36 @@ def pattern_reductions(
 
     Each instance is {n_i, n_j, d_ij} or {n_i, n_j, n_k, d_ijk}; every
     application consumes its symbols and lowers the n-exponent by one.
-    Returns (count, applications); exhaustive, not greedy.
+    Returns (count, applications); exhaustive, not greedy.  Among the
+    largest matchings it returns the lexicographically first in instance
+    order (`P.Z_SUBSETS`), applications listed in that order; witnesses
+    store this choice as their `reductions`.
     """
     for s in pattern:
-        if s not in _SYMBOL_ORDER:
+        if s not in _SYMBOL_POS:
             raise InputError("unknown pattern symbol %r" % s)
+    counts = [pattern.get(s, 0) for s in _SYMBOL_ORDER]
+    # no other instance holds an instance's d-symbol, so one without it
+    # can never apply
+    live = [ip for ip in _INSTANCE_POS if counts[ip[1][-1]] >= 1]
 
-    def best(avail: Tuple[int, ...], start: int) -> Tuple[Tuple[str, ...], ...]:
+    def best(start: int) -> Tuple[Tuple[str, ...], ...]:
         result: Tuple[Tuple[str, ...], ...] = ()
-        for idx in range(start, len(_PATTERN_INSTANCES)):
-            inst = _PATTERN_INSTANCES[idx]
-            counts = [avail[_SYMBOL_ORDER.index(s)] for s in inst]
-            if min(counts) < 1:
+        for idx in range(start, len(live)):
+            inst, positions = live[idx]
+            if any(counts[pos] < 1 for pos in positions):
                 continue
-            taken = list(avail)
-            for s in inst:
-                taken[_SYMBOL_ORDER.index(s)] -= 1
+            for pos in positions:
+                counts[pos] -= 1
             # the same instance may apply again, so recurse from idx
-            cand = (inst,) + best(tuple(taken), idx)
+            cand = (inst,) + best(idx)
+            for pos in positions:
+                counts[pos] += 1
             if len(cand) > len(result):
                 result = cand
         return result
 
-    avail = tuple(pattern.get(s, 0) for s in _SYMBOL_ORDER)
-    apps = best(avail, 0)
+    apps = best(0)
     return len(apps), apps
 
 
@@ -226,17 +236,16 @@ def default_library(convention: str = "standard") -> Tuple[FrozenSet[str], ...]:
     return tuple(sort_sets(sets))
 
 
-def _library_vectors(
+def _library_supports(
     library: Sequence[FrozenSet[str]],
 ) -> Tuple[Tuple[Tuple[int, ...], FrozenSet[str]], ...]:
+    """Each library set with the sorted positions of its parameters."""
     out = []
     for s in library:
-        vec = [0] * _NPARAMS
         for p in s:
             if p not in _PARAM_POS:
                 raise InputError("unknown parameter %r in library set" % p)
-            vec[_PARAM_POS[p]] = 1
-        out.append((tuple(vec), frozenset(s)))
+        out.append((tuple(sorted(_PARAM_POS[p] for p in s)), frozenset(s)))
     return tuple(out)
 
 
@@ -292,7 +301,7 @@ class _Packer:
     """
 
     def __init__(self, library: Sequence[FrozenSet[str]], g_max: int):
-        self.lib = _library_vectors(library)
+        self.lib = _library_supports(library)
         self.g_max = g_max
         self.memo: Dict[Tuple[int, ...], Tuple[Tuple[FrozenSet[str], ...], ...]] = {}
 
@@ -314,17 +323,18 @@ class _Packer:
         if len(chosen) >= self.g_max:
             return True
         for idx in range(start, len(self.lib)):
-            svec, sset = self.lib[idx]
-            if all(v >= s for v, s in zip(vec, svec)):
-                for pos in range(_NPARAMS):
-                    vec[pos] -= svec[pos]
-                chosen.append(sset)
-                done = self._pack(vec, idx, chosen, firsts)
-                chosen.pop()
-                for pos in range(_NPARAMS):
-                    vec[pos] += svec[pos]
-                if done:
-                    return True
+            support, sset = self.lib[idx]
+            if any(vec[pos] < 1 for pos in support):
+                continue
+            for pos in support:
+                vec[pos] -= 1
+            chosen.append(sset)
+            done = self._pack(vec, idx, chosen, firsts)
+            chosen.pop()
+            for pos in support:
+                vec[pos] += 1
+            if done:
+                return True
         return False
 
     def split(self, vec: Sequence[int], g: int) -> Optional[Partition]:
@@ -458,31 +468,41 @@ class _Frontier:
 # One integer row per template, in TEMPLATE_ORDER: the parameter exponents
 # (lhs minus rhs), the pattern-symbol counts, then the exponents of n and
 # of 1/m.  Adding rows multiplies templates, so a row sum is the combined
-# inequality before its pattern is simplified.
+# inequality before its pattern is simplified.  A row is stored sparse, as
+# its nonzero (position, value) pairs in position order.
 _N_COL = _NPARAMS + len(_SYMBOL_ORDER)
 _M_COL = _N_COL + 1
 
 
-def _template_row(tmpl: InequalityTemplate) -> Tuple[int, ...]:
+def _template_row(tmpl: InequalityTemplate) -> Tuple[Tuple[int, int], ...]:
     row = [0] * (_M_COL + 1)
     for p, e in tmpl.lhs.items():
         row[_PARAM_POS[p]] += e
     for p, e in tmpl.rhs.items():
         row[_PARAM_POS[p]] -= e
     for s, e in tmpl.pattern.items():
-        row[_NPARAMS + _SYMBOL_ORDER.index(s)] += e
+        row[_NPARAMS + _SYMBOL_POS[s]] += e
     row[_N_COL] = tmpl.n_exp
     row[_M_COL] = -tmpl.m_exp
-    return tuple(row)
+    return tuple((pos, v) for pos, v in enumerate(row) if v)
 
 
 _ROWS = tuple((t.key, _template_row(t)) for t in build_inequalities())
 # the ten z-templates come first, then t1, t2, t3
 _Z_ROWS, _T_ROWS = _ROWS[:len(P.Z_PARAMS)], _ROWS[len(P.Z_PARAMS):]
 
-# which t-templates (index into _T_ROWS) supply each parameter position
-_T_COVER = tuple(tuple(i for i, (_, row) in enumerate(_T_ROWS) if row[pos] > 0)
-                 for pos in range(_NPARAMS))
+# the most one template adds to any parameter exponent
+_STEP = max(v for _, row in _ROWS for pos, v in row if pos < _NPARAMS)
+# the parameter positions some z-template lowers: before the t-templates
+# are added, only these can be negative
+_DEFICIT_POS = tuple(sorted({pos for _, row in _Z_ROWS for pos, v in row
+                             if v < 0}))
+# which t-templates (index into _T_ROWS) supply each of those positions
+_T_COVER = {pos: tuple(i for i, (_, row) in enumerate(_T_ROWS)
+                       if dict(row).get(pos, 0) > 0)
+            for pos in _DEFICIT_POS}
+# (row position, symbol) of each pattern symbol
+_SYMBOL_COLS = tuple(enumerate(_SYMBOL_ORDER, _NPARAMS))
 
 
 def search(
@@ -523,14 +543,16 @@ def search(
     examined = 0
     complete = True
 
-    def candidate(items: Tuple[Tuple[str, int], ...], row: List[int]) -> None:
+    # the running row sum of the combination being built, updated in place
+    row = [0] * (_M_COL + 1)
+
+    def candidate(items: Tuple[Tuple[str, int], ...], trow: List[int]) -> None:
         nonlocal examined
         examined += 1
-        vec = row[:_NPARAMS]
-        raw_pattern = {s: e for s, e in zip(_SYMBOL_ORDER, row[_NPARAMS:_N_COL])
-                       if e}
+        vec = trow[:_NPARAMS]
+        raw_pattern = {s: trow[pos] for pos, s in _SYMBOL_COLS if trow[pos]}
         q, apps = pattern_reductions(raw_pattern)
-        a_total, b_total = row[_N_COL] - q, row[_M_COL]
+        a_total, b_total = trow[_N_COL] - q, trow[_M_COL]
         feasible = None
         for g in range(1, g_max + 1):
             key = (a_total * scale // g, b_total * scale // g)
@@ -560,15 +582,19 @@ def search(
                 partition=packer.split(vec, g),
             ))
 
-    def t_loop(items, row, remaining) -> bool:
+    def t_loop(items, remaining) -> bool:
         """Enumerate t1/t2/t3 multiplicities that clear all deficits."""
         nonlocal complete
-        deficits = [(_T_COVER[pos], -v)
-                    for pos, v in enumerate(row[:_NPARAMS]) if v < 0]
         lower = [0, 0, 0]
-        for cover, need in deficits:
-            if len(cover) == 1:
-                lower[cover[0]] = max(lower[cover[0]], need)
+        shared = []  # deficits that more than one t-template supplies
+        for pos in _DEFICIT_POS:
+            need = -row[pos]
+            if need > 0:
+                cover = _T_COVER[pos]
+                if len(cover) == 1:
+                    lower[cover[0]] = max(lower[cover[0]], need)
+                else:
+                    shared.append((cover, need))
         if sum(lower) > remaining:
             return True
         for a in range(lower[0], remaining + 1):
@@ -579,30 +605,41 @@ def search(
                         return False
                     supply = (a, b, c)
                     if any(sum(supply[i] for i in cover) < need
-                           for cover, need in deficits):
+                           for cover, need in shared):
                         continue
-                    titems, trow = items, row
+                    titems, trow = items, row[:]
                     for (key, t_row), mult in zip(_T_ROWS, supply):
                         if mult:
                             titems += ((key, mult),)
-                            trow = [v + mult * t for v, t in zip(trow, t_row)]
+                            for pos, v in t_row:
+                                trow[pos] += mult * v
                     candidate(titems, trow)
         return True
 
-    def z_loop(idx: int, items, row, remaining) -> bool:
+    def z_loop(idx: int, items, remaining) -> bool:
         if idx == len(_Z_ROWS) or remaining == 0:
-            return t_loop(items, row, remaining)
-        if not z_loop(idx + 1, items, row, remaining):
+            return t_loop(items, remaining)
+        if not z_loop(idx + 1, items, remaining):
             return False
         key, z_row = _Z_ROWS[idx]
         for mult in range(1, remaining + 1):
-            row = [v + z for v, z in zip(row, z_row)]
-            if not z_loop(idx + 1, items + ((key, mult),), row,
-                          remaining - mult):
+            for pos, v in z_row:
+                row[pos] += v
+            # Each later template adds at most _STEP to an exponent, so one
+            # below -(remaining - mult) * _STEP stays negative and t_loop
+            # would reject every leaf below.  Another copy of this row
+            # raises an exponent by at most the _STEP the floor rises, so
+            # every larger multiplicity is dead too.
+            floor = (mult - remaining) * _STEP
+            if any(row[pos] < floor for pos in _DEFICIT_POS):
+                break
+            if not z_loop(idx + 1, items + ((key, mult),), remaining - mult):
                 return False
+        for pos, v in z_row:
+            row[pos] -= mult * v
         return True
 
-    z_loop(0, (), [0] * (_M_COL + 1), budget)
+    z_loop(0, (), budget)
     return SearchResult(
         frontier=frontier.sorted(),
         examined=examined,
@@ -639,11 +676,11 @@ def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
     """Re-derive a witness document from scratch and cross-check it.
 
     Runs combine and simplify_pattern on the stored combination, verifies
-    the stored exponent vector, constant, A, B, raw pattern, and that the
-    stored partition is valid: bases are defining sets, the base sum fits
-    under the exponent vector, and leftover matches exactly.  A document
-    that is not an object, lacks a field or holds a value of the wrong
-    shape raises InputError.
+    the stored exponent vector, constant, A, B, raw pattern and pattern
+    reductions, and that the stored partition is valid: bases are defining
+    sets, the base sum fits under the exponent vector, and leftover matches
+    exactly.  A document that is not an object, lacks a field or holds a
+    value of the wrong shape raises InputError.
     """
     if not isinstance(doc, Mapping):
         raise InputError("witness must be a JSON object, got %s"
@@ -659,6 +696,11 @@ def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
             P.params_to_mask(base)  # ValueError on an unknown name
         stored_leftover = {k: int(v)
                            for k, v in doc["partition"]["leftover"].items()}
+        stored_apps = doc["reductions"]
+        if not (isinstance(stored_apps, list)
+                and all(isinstance(app, list) for app in stored_apps)):
+            raise TypeError("reductions must be a list of symbol lists")
+        stored_apps = tuple(tuple(app) for app in stored_apps)
     except InputError:
         raise
     except KeyError as exc:
@@ -670,6 +712,9 @@ def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
     raw = combine(combo)
     if dict(raw.pattern) != raw_pattern:
         raise InputError("witness raw pattern does not replay")
+    _, apps = pattern_reductions(raw.pattern)
+    if apps != stored_apps:
+        raise InputError("witness reductions do not replay")
     simplified = simplify_pattern(raw)
     if dict(simplified.exponents) != stored_exp:
         raise InputError("witness exponent vector does not replay")
@@ -693,7 +738,6 @@ def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
     leftover = {_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v}
     if leftover != stored_leftover:
         raise InputError("witness leftover does not replay")
-    q, apps = pattern_reductions(raw.pattern)
     return DerivedBound(
         combination=combo,
         inequality=simplified,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -39,6 +40,9 @@ EXPONENTS_A = {
     "x123": 3, "x124": 2, "x134": 1, "x234": 2, "x1234": 3,
     "z34": 1, "z234": 2,
 }
+# the paper's second pair, reached first at budget 9 by COMBO_B
+SCORE_B = (Fraction(8, 5), Fraction(1))
+
 EXPONENTS_B = {
     "x12": 5, "x13": 2, "x14": 2, "x23": 3, "x24": 1,
     "x123": 5, "x124": 4, "x134": 2, "x234": 2, "x1234": 5,
@@ -111,6 +115,43 @@ def test_pattern_reductions():
         {"n2": 1, "n3": 1, "n4": 1, "d234": 1})
     assert count == 1
     assert applications == (("n2", "n3", "n4", "d234"),)
+    with pytest.raises(InputError):
+        pattern_reductions({"n5": 1})
+
+
+def _first_matching(pattern):
+    """Exhaustive matcher over all ten instances, symbols looked up by name.
+
+    Depth first in instance order, an instance may repeat, and a longer
+    matching replaces the best so far only when strictly longer.
+    """
+    instances = [tuple("n%d" % i for i in J) + (P.d_name(J),)
+                 for J in P.Z_SUBSETS]
+    symbols = P.PATTERN_SYMBOLS
+
+    def best(avail, start):
+        result = ()
+        for idx in range(start, len(instances)):
+            inst = instances[idx]
+            if min(avail[symbols.index(s)] for s in inst) < 1:
+                continue
+            taken = list(avail)
+            for s in inst:
+                taken[symbols.index(s)] -= 1
+            cand = (inst,) + best(tuple(taken), idx)
+            if len(cand) > len(result):
+                result = cand
+        return result
+
+    apps = best(tuple(pattern.get(s, 0) for s in symbols), 0)
+    return len(apps), apps
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.sampled_from(P.PATTERN_SYMBOLS), st.integers(0, 5)))
+def test_pattern_reductions_matches_exhaustive_matcher(pattern):
+    # equal applications, order included: witnesses store them
+    assert pattern_reductions(pattern) == _first_matching(pattern)
 
 
 def test_simplify_pattern():
@@ -309,7 +350,26 @@ def test_search_frontier_is_complete_at_budget_six():
     assert {b.score for b in result.frontier} == pareto
 
 
-def test_witness_roundtrip_and_tamper_detection():
+@pytest.fixture(scope="module")
+def budget_nine():
+    return search(9)
+
+
+def test_search_output_is_pinned(budget_nine):
+    # figures of the unpruned search; pruning must leave every one as is
+    examined = [search(b).examined for b in range(1, 9)]
+    examined.append(budget_nine.examined)
+    assert examined == [4, 17, 57, 178, 492, 1261, 2996, 6726, 14312]
+    assert budget_nine.complete and len(budget_nine.frontier) == 29
+    text = "\n".join(witness_to_json(b) for b in budget_nine.frontier) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "187d08dfa943802d420af98ef53987736e25fbf154de6aae096ccb650baefa71")
+    assert not search(9, node_limit=14311).complete
+    at_limit = search(9, node_limit=14312)
+    assert at_limit.complete and at_limit.examined == 14312
+
+
+def test_witness_roundtrip_and_tamper_detection(budget_nine):
     result = search(6)
     bound = result.frontier[0]
     doc = json.loads(witness_to_json(bound))
@@ -329,6 +389,21 @@ def test_witness_roundtrip_and_tamper_detection():
     empty["partition"]["bases"] = []
     with pytest.raises(InputError):
         replay_witness(empty)
+    # stored reductions are checked, not re-derived over
+    with_apps = next(b for b in budget_nine.frontier if b.score == SCORE_B)
+    assert with_apps.reductions == (("n2", "n3", "d23"),)
+    doc = json.loads(witness_to_json(with_apps))
+    assert witness_to_json(replay_witness(doc)) == witness_to_json(with_apps)
+    swapped = dict(doc, reductions=[["n1", "n2", "d12"]])
+    with pytest.raises(InputError, match="reductions do not replay"):
+        replay_witness(swapped)
+    garbage = dict(doc, reductions="garbage")
+    with pytest.raises(InputError, match="malformed witness"):
+        replay_witness(garbage)
+    missing = dict(doc)
+    del missing["reductions"]
+    with pytest.raises(InputError, match="no 'reductions' field"):
+        replay_witness(missing)
 
 
 def test_witness_json_is_deterministic():
