@@ -35,7 +35,6 @@ from .boundsearch import (
     SearchResult,
     combine,
     default_library,
-    instantiate,
     max_feasible_g,
     partition,
     pattern_reductions,
@@ -144,7 +143,6 @@ __all__ = [
     "fk_bound",
     "fk_exponent",
     "inequality_index",
-    "instantiate",
     "is_defining",
     "lift_report",
     "max_feasible_g",

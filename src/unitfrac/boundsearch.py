@@ -229,9 +229,9 @@ def simplify_pattern(raw: MonomialInequality) -> MonomialInequality:
 
 # Cached: a tuple of frozensets is immutable, so callers can share it.
 @lru_cache(maxsize=None)
-def default_library(convention: str = "standard") -> Tuple[FrozenSet[str], ...]:
+def default_library() -> Tuple[FrozenSet[str], ...]:
     """Minimal defining sets up to size 3 plus the six catalogued sets."""
-    sets = set(minimal_defining_sets(3, convention=convention))
+    sets = set(minimal_defining_sets(3))
     sets.update(CORE_DEFINING_SETS)
     return tuple(sort_sets(sets))
 
@@ -672,7 +672,7 @@ def witness_to_json(bound: DerivedBound) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
+def replay_witness(doc: Mapping) -> DerivedBound:
     """Re-derive a witness document from scratch and cross-check it.
 
     Runs combine and simplify_pattern on the stored combination, verifies
@@ -727,7 +727,7 @@ def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
                          % (len(bases), g))
     vec = _exponent_vector(stored_exp)
     for base in bases:
-        if not is_defining(base, convention=convention):
+        if not is_defining(base):
             raise InputError("witness base %s is not defining"
                              % ",".join(P.sort_params(base)))
         for p in base:
@@ -748,16 +748,3 @@ def replay_witness(doc: Mapping, convention: str = "standard") -> DerivedBound:
         g=g,
         partition=Partition(bases=bases, leftover=leftover),
     )
-
-
-def instantiate(combination: Combination, env: Mapping[str, int]) -> Tuple[int, int]:
-    """Cleared integer sides of the combined inequality on one environment."""
-    combo = normalize_combination(combination)
-    index = inequality_index()
-    left = 1
-    right = 1
-    for key, mult in combo.items():
-        tleft, tright = index[key].evaluate_sides(env)
-        left *= tleft ** mult
-        right *= tright ** mult
-    return left, right

@@ -7,7 +7,10 @@ The catalog holds 96 equations in the parameters x_J (|J| >= 2) and z_J
     c_0 * prod(outputs) = sum_i c_i * prod(inputs_i),
 
 so fixing integer values for all input parameters pins the output product
-down to divisor-count-many choices.  Eight construction families:
+down to divisor-count-many choices.  For families 2-8 the rule is its
+equation alone: the inputs are the parameters of the right-hand terms and
+the outputs those of the left-hand term, read off the same Term data the
+symbolic proof in the tests certifies.  Eight construction families:
 
 1. "factor"  (55): the master equation rearranged for an unknown pair
    {x_J, x_K} and factored into (C*x_J + a)(C*x_K + b) = const.
@@ -28,10 +31,11 @@ over an environment dict as produced by Decomposition.env().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from . import params as P
 from .params import check_convention
@@ -56,7 +60,7 @@ class Term:
     num_syms: Tuple[str, ...] = ()
     den_syms: Tuple[str, ...] = ()
 
-    def numden(self, env: Env) -> Tuple[int, int]:
+    def value(self, env: Env):
         num = 1
         if self.m_exp:
             num = env["m"] ** self.m_exp
@@ -67,16 +71,8 @@ class Term:
         den = 1
         for s in self.den_syms:
             den *= env[s]
-        return num, den
-
-    def value(self, env: Env):
-        num, den = self.numden(env)
         q, r = divmod(num, den)
-        if r:
-            from fractions import Fraction
-
-            return Fraction(num, den)
-        return q
+        return Fraction(num, den) if r else q
 
     def __str__(self) -> str:
         num: List[str] = []
@@ -104,13 +100,6 @@ class Term:
         return coeff or body or "1"
 
 
-def _sides_terms(lhs: Term, rhs: Tuple[Term, ...]):
-    def sides(env: Env):
-        return lhs.value(env), tuple(t.value(env) for t in rhs)
-
-    return sides
-
-
 # ---------------------------------------------------------------------------
 # closure rules
 
@@ -121,10 +110,10 @@ class ClosureRule:
 
     `inputs` are the parameters that must already be known for the rule to
     fire; firing bounds every parameter in `outputs` by a divisor count.
-    `terms` holds the symbolic form (lhs, rhs-tuple) for families 2-8 and
-    is empty for family 1, whose constants are assembled at evaluation
-    time from the master equation.  `sides(env)` gives the exact values
-    (left, parts) of both sides; the rule holds when left == sum(parts).
+    `terms` holds the symbolic form (lhs, rhs-tuple) for families 2-8,
+    whose inputs and outputs are the parameters of the right- and
+    left-hand side.  It is empty for family 1, whose constants are
+    assembled at evaluation time from the master equation.
     """
 
     family: int
@@ -133,7 +122,14 @@ class ClosureRule:
     outputs: frozenset
     equation: str
     terms: Tuple = ()
-    sides: Callable[[Env], Tuple] = field(compare=False, repr=False, default=None)
+
+    def sides(self, env: Env) -> Tuple:
+        """Exact values (left, parts); the rule holds when left == sum(parts)."""
+        if self.terms:
+            lhs, rhs = self.terms
+            return lhs.value(env), tuple(t.value(env) for t in rhs)
+        pj, pk = self.outputs  # either order: the factored form is symmetric
+        return _factor_sides(pj, pk, env)
 
     def evaluate(self, env: Env) -> bool:
         left, parts = self.sides(env)
@@ -163,20 +159,19 @@ def _xor_params(i: int, j: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return with_j, with_i
 
 
-def _make_rule(family: int, key: str, inputs, outputs, lhs: Term,
+def _make_rule(family: int, key: str, lhs: Term,
                rhs: Tuple[Term, ...]) -> ClosureRule:
     return ClosureRule(
         family=family,
         key=key,
-        inputs=frozenset(inputs),
-        outputs=frozenset(outputs),
+        inputs=frozenset(p for t in rhs for p in t.params),
+        outputs=frozenset(lhs.params),
         equation="%s = %s" % (lhs, " + ".join(str(t) for t in rhs)),
         terms=(lhs, rhs),
-        sides=_sides_terms(lhs, rhs),
     )
 
 
-def _factor_rule(pj: str, pk: str) -> ClosureRule:
+def _factor_sides(pj: str, pk: str, env: Env) -> Tuple:
     """Family 1: master equation factored for the unknown pair {pj, pk}.
 
     Every master-equation monomial is classified by whether it contains
@@ -185,47 +180,37 @@ def _factor_rule(pj: str, pk: str) -> ClosureRule:
     checked in the factored form (C11*xj + C01)(C11*xk + C10) =
     C01*C10 - C11*C00, or linearly when C11 vanishes.
     """
-    memberships = tuple(
-        (i, pj in P.TERM_XPART[i], pk in P.TERM_XPART[i]) for i in P.INDICES
-    )
+    xj = env[pj]
+    xk = env[pk]
+    c11 = env["mT"] // (xj * xk)
+    c10 = c01 = c00 = 0
+    for i in P.INDICES:
+        v = env["term%d" % i]
+        has_j = pj in P.TERM_XPART[i]
+        has_k = pk in P.TERM_XPART[i]
+        if has_j and has_k:
+            c11 -= v // (xj * xk)
+        elif has_j:
+            c10 -= v // xj
+        elif has_k:
+            c01 -= v // xk
+        else:
+            c00 -= v
+    if c11:
+        return (c11 * xj + c01) * (c11 * xk + c10), (c01 * c10 - c11 * c00,)
+    return c10 * xj + c01 * xk, (-c00,)
 
-    def classes(env: Env) -> Tuple[int, int, int, int]:
-        xj = env[pj]
-        xk = env[pk]
-        c11 = env["mT"] // (xj * xk)
-        c10 = c01 = c00 = 0
-        for i, has_j, has_k in memberships:
-            v = env["term%d" % i]
-            if has_j and has_k:
-                c11 -= v // (xj * xk)
-            elif has_j:
-                c10 -= v // xj
-            elif has_k:
-                c01 -= v // xk
-            else:
-                c00 -= v
-        return c11, c10, c01, c00
 
-    def sides(env: Env):
-        c11, c10, c01, c00 = classes(env)
-        xj = env[pj]
-        xk = env[pk]
-        if c11:
-            return (c11 * xj + c01) * (c11 * xk + c10), (c01 * c10 - c11 * c00,)
-        return c10 * xj + c01 * xk, (-c00,)
-
-    inputs = frozenset(p for p in P.X_PARAMS if p not in (pj, pk))
+def _factor_rule(pj: str, pk: str) -> ClosureRule:
     return ClosureRule(
         family=1,
         key="factor:%s*%s" % (pj, pk),
-        inputs=inputs,
+        inputs=frozenset(p for p in P.X_PARAMS if p not in (pj, pk)),
         outputs=frozenset((pj, pk)),
         equation=(
             "master equation rearranged and factored for the unknown pair "
             "{%s, %s}" % (pj, pk)
         ),
-        terms=(),
-        sides=sides,
     )
 
 
@@ -233,32 +218,24 @@ def _zpair_rule(ij: Tuple[int, int], convention: str) -> ClosureRule:
     i, j = ij
     kl = P.complement_pair(ij)
     with_j, with_i = _xor_params(i, j)
-    lhs_params = [P.z_name(ij), P.x_name(ij)]
+    lhs_params = (P.z_name(ij), P.x_name(ij))
     if convention == "reduced":
-        lhs_params.append(P.x_name(kl))
-    lhs = Term(tuple(lhs_params))
+        lhs_params += (P.x_name(kl),)
     rhs = (
         Term(with_j, num_syms=("nn%d" % i,), den_syms=(P.d_name(ij),)),
         Term(with_i, num_syms=("nn%d" % j,), den_syms=(P.d_name(ij),)),
     )
-    return _make_rule(
-        2, "zpair:%s" % P.z_name(ij), with_j + with_i, lhs_params, lhs, rhs
-    )
+    return _make_rule(2, "zpair:%s" % P.z_name(ij), Term(lhs_params), rhs)
 
 
 def _ztriple_rule(T: Tuple[int, int, int]) -> ClosureRule:
-    lhs_params = [P.z_name(T)]
-    lhs_params += [P.x_name(p) for p in combinations(T, 2)]
-    lhs_params.append(P.x_name(T))
-    lhs = Term(tuple(lhs_params))
+    lhs = Term((P.z_name(T),) + tuple(P.x_name(p) for p in combinations(T, 2))
+               + (P.x_name(T),))
     rhs = tuple(
         Term(P.TERM_XPART[i], num_syms=("nn%d" % i,), den_syms=(P.d_name(T),))
         for i in T
     )
-    inputs = set()
-    for i in T:
-        inputs.update(P.TERM_XPART[i])
-    return _make_rule(3, "ztriple:%s" % P.z_name(T), inputs, lhs_params, lhs, rhs)
+    return _make_rule(3, "ztriple:%s" % P.z_name(T), lhs, rhs)
 
 
 def _zstep_rule(ij: Tuple[int, int], T: Tuple[int, int, int],
@@ -279,11 +256,8 @@ def _zstep_rule(ij: Tuple[int, int], T: Tuple[int, int, int],
             den_syms=(P.d_name(T),),
         ),
     )
-    inputs = {P.z_name(ij), x_kl, P.x_name((i, l)), P.x_name((j, l)),
-              P.x_name((i, j, l))}
-    outputs = {P.z_name(T), P.x_name((i, k)), P.x_name((j, k)), P.x_name(T)}
     return _make_rule(
-        4, "zstep:%s->%s" % (P.z_name(ij), P.z_name(T)), inputs, outputs, lhs, rhs
+        4, "zstep:%s->%s" % (P.z_name(ij), P.z_name(T)), lhs, rhs
     )
 
 
@@ -294,17 +268,13 @@ def _tprod_rule(T: Tuple[int, int, int]) -> ClosureRule:
         Term((P.z_name(T),), num_syms=(P.d_name(T),)),
         Term((), num_syms=("nn%d" % l,)),
     )
-    return _make_rule(
-        5, "tprod:%s" % P.z_name(T), {P.z_name(T)}, P.CONTAINING[l], lhs, rhs
-    )
+    return _make_rule(5, "tprod:%s" % P.z_name(T), lhs, rhs)
 
 
 def _expand_rule(ij: Tuple[int, int], convention: str) -> ClosureRule:
-    i, j = ij
     k, l = P.complement_pair(ij)
     name_ij = P.x_name(ij)
-    lhs_params = tuple(p for p in P.X_PARAMS if p != name_ij)
-    lhs = Term(lhs_params, m_exp=1)
+    lhs = Term(tuple(p for p in P.X_PARAMS if p != name_ij), m_exp=1)
     avoid_k = tuple(
         P.x_name(B) for B in P.X_SUBSETS if k not in B and B != ij
     )
@@ -319,32 +289,26 @@ def _expand_rule(ij: Tuple[int, int], convention: str) -> ClosureRule:
         Term(avoid_k, num_syms=("nn%d" % k,)),
         Term(avoid_l, num_syms=("nn%d" % l,)),
     )
-    inputs = {P.z_name(ij), P.x_name((k, l))} | set(avoid_k) | set(avoid_l)
-    return _make_rule(
-        6, "expand:%s" % P.z_name(ij), inputs, lhs_params, lhs, rhs
-    )
+    return _make_rule(6, "expand:%s" % P.z_name(ij), lhs, rhs)
 
 
 def _split_rule(ij: Tuple[int, int], kl: Tuple[int, int],
                 convention: str) -> ClosureRule:
     name_ij, name_kl = P.x_name(ij), P.x_name(kl)
-    lhs_params = tuple(p for p in P.X_PARAMS if p not in (name_ij, name_kl))
-    lhs = Term(lhs_params, m_exp=1)
+    lhs = Term(tuple(p for p in P.X_PARAMS if p not in (name_ij, name_kl)),
+               m_exp=1)
     if convention == "reduced":
         rhs = (
             Term((P.z_name(ij), name_kl), num_syms=(P.d_name(ij),)),
             Term((P.z_name(kl), name_ij), num_syms=(P.d_name(kl),)),
         )
-        inputs = {P.z_name(ij), P.z_name(kl), name_ij, name_kl}
     else:
         rhs = (
             Term((P.z_name(ij),), num_syms=(P.d_name(ij),)),
             Term((P.z_name(kl),), num_syms=(P.d_name(kl),)),
         )
-        inputs = {P.z_name(ij), P.z_name(kl)}
     return _make_rule(
-        7, "split:%s+%s" % (P.z_name(ij), P.z_name(kl)), inputs, lhs_params,
-        lhs, rhs
+        7, "split:%s+%s" % (P.z_name(ij), P.z_name(kl)), lhs, rhs
     )
 
 
@@ -374,11 +338,8 @@ def _zprod_rule(T1: Tuple[int, int, int], T2: Tuple[int, int, int],
             den_syms=(P.d_name(T1), P.d_name(T2)),
         ),
     )
-    inputs = {P.z_name(shared), x_kl, P.x_name((i,) + kl),
-              P.x_name((j,) + kl), P.x_name(P.QUAD)}
     return _make_rule(
-        8, "zprod:%s*%s" % (P.z_name(T1), P.z_name(T2)), inputs,
-        (P.z_name(T1), P.z_name(T2)), lhs, rhs
+        8, "zprod:%s*%s" % (P.z_name(T1), P.z_name(T2)), lhs, rhs
     )
 
 

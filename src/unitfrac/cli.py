@@ -22,7 +22,7 @@ from . import asymptotics as asym
 from . import boundsearch as bs
 from . import catalog as cat
 from . import params as P
-from .closure import closure_report, minimal_defining_sets, sort_sets
+from .closure import closure_report, minimal_defining_sets
 from .decomposition import decompose
 from .enumeration import count_representations, enumerate_representations
 from .errors import (
@@ -173,8 +173,7 @@ def _cmd_closure(args) -> int:
 def _cmd_defining_sets(args) -> int:
     if args.max_size < 1:
         raise InputError("--max-size must be >= 1")
-    found = minimal_defining_sets(args.max_size, convention=args.z_convention)
-    for s in sort_sets(found):
+    for s in minimal_defining_sets(args.max_size, convention=args.z_convention):
         print(_json_line(closure_report(s, convention=args.z_convention)))
     return 0
 
@@ -182,8 +181,6 @@ def _cmd_defining_sets(args) -> int:
 def _cmd_search(args) -> int:
     if args.budget < 1:
         raise InputError("--budget must be >= 1")
-    if args.gmax < 1:
-        raise InputError("--gmax must be >= 1")
     library = _load_library(args.library) if args.library else None
     result = bs.search(args.budget, g_max=args.gmax, library=library,
                        node_limit=args.node_limit)
@@ -212,7 +209,7 @@ def _cmd_replay(args) -> int:
             if not line:
                 continue
             doc = json.loads(line)
-            bound = bs.replay_witness(doc, convention=args.z_convention)
+            bound = bs.replay_witness(doc)
             print("replayed: %s" % bound.describe())
             count += 1
     if count == 0:
@@ -436,7 +433,6 @@ def build_parser() -> _Parser:
                        help="re-derive and verify witness documents")
     p.add_argument("--witness", required=True, metavar="PATH",
                    help="file of witness JSON lines")
-    _add_convention(p)
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("bound",

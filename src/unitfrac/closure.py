@@ -75,33 +75,27 @@ def _default_compiled(convention: str) -> CompiledRules:
     return CompiledRules(build_rules(convention))
 
 
-def _to_mask(s: Iterable[str] | int) -> int:
-    if isinstance(s, int):
-        if s < 0 or s > P.ALL_MASK:
-            raise InputError("parameter mask out of range: %d" % s)
-        return s
-    return P.params_to_mask(s)
-
-
-def closure(s: Iterable[str] | int, convention: str = "standard") -> ParamSet:
+def closure(s: Iterable[str], convention: str = "standard") -> ParamSet:
     """Least fixpoint of the rule system above the given set."""
     compiled = _default_compiled(convention)
-    return frozenset(P.mask_to_params(compiled.closure_mask(_to_mask(s))))
+    closed = compiled.closure_mask(P.params_to_mask(s))
+    return frozenset(P.mask_to_params(closed))
 
 
-def is_defining(s: Iterable[str] | int, convention: str = "standard") -> bool:
+def is_defining(s: Iterable[str], convention: str = "standard") -> bool:
     """True iff the closure of s covers all eleven x-parameters."""
     compiled = _default_compiled(convention)
-    return P.X_MASK & ~compiled.closure_mask(_to_mask(s)) == 0
+    return P.X_MASK & ~compiled.closure_mask(P.params_to_mask(s)) == 0
 
 
 def minimal_defining_sets(max_size: int,
                           convention: str = "standard") -> List[ParamSet]:
     """All inclusion-minimal defining sets of cardinality <= max_size.
 
-    Candidates are enumerated size by size in canonical parameter order;
-    supersets of already-found minimal sets are skipped, so every reported
-    set is minimal by construction.
+    Candidates are enumerated size by size in canonical parameter order,
+    so the list comes out in `sort_sets` order; supersets of already-found
+    minimal sets are skipped, so every reported set is minimal by
+    construction.
     """
     if not 0 <= max_size <= P.N_PARAMS:
         raise InputError("max_size must be between 0 and %d" % P.N_PARAMS)
@@ -128,9 +122,9 @@ def sort_sets(sets: Iterable[ParamSet]) -> List[ParamSet]:
     )
 
 
-def closure_report(s: Iterable[str] | int, convention: str = "standard") -> Dict:
+def closure_report(s: Iterable[str], convention: str = "standard") -> Dict:
     """JSON-ready summary of one closure query."""
-    mask = _to_mask(s)
+    mask = P.params_to_mask(s)
     compiled = _default_compiled(convention)
     closed = compiled.closure_mask(mask)
     return {

@@ -16,7 +16,6 @@ from unitfrac.boundsearch import (
     combination_sort_key,
     combine,
     default_library,
-    instantiate,
     max_feasible_g,
     normalize_combination,
     partition,
@@ -28,7 +27,6 @@ from unitfrac.boundsearch import (
 )
 from unitfrac.catalog import build_inequalities
 from unitfrac.closure import is_defining
-from unitfrac.decomposition import decompose
 from unitfrac.errors import InputError, UnclearedDenominatorError
 
 # the two reference combinations rebuilt throughout this module
@@ -414,13 +412,6 @@ def test_witness_json_is_deterministic():
     for line in first:
         assert "\n" not in line
         assert json.dumps(json.loads(line), sort_keys=True) == line
-
-
-def test_instantiate_on_worked_example():
-    env = decompose((2, 4, 6, 12), 1).env()
-    left, right = instantiate(COMBO_A, env)
-    assert left <= right
-    assert (left, right) == (96, 2304)
 
 
 def test_node_limit_marks_partial():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -158,6 +159,40 @@ def test_catalog_json_lines(capsys):
     assert sum(1 for d in docs if d["family"] == 1) == 55
 
 
+# sha256 of the export, of `catalog --json` and of `defining-sets
+# --max-size 3` (line count alongside): every rule's inputs and outputs,
+# so a derived set that changes shows here
+PINNED_CLOSURE_SEMANTICS = {
+    "standard": (
+        "a3311f6d2b49bffae45ebe3db50946256d7405ecf106242543f77fb552522344",
+        "b1f5ad7c38f5c16bbffd8491b3bb5655eb9714d143caf9e9d820f0622e0671d3",
+        "454bd324729d258a4efd73d83ba7860f84428563eca605442a4e716b7522fb5c",
+        45,
+    ),
+    "reduced": (
+        "278c77acf6d474da799c5d6d70da93e26f3c3685360c3f8f11d0c6c6da1c7d97",
+        "503c1fa6f75f6648fa7549d21e450f71fc16d7f7daf2a8e0da92be53b8561792",
+        "e101ffb5de5c0f39657c57cd9061e592880bfec7cfa2d652c78cd76d312870a9",
+        42,
+    ),
+}
+
+
+@pytest.mark.parametrize("convention", sorted(PINNED_CLOSURE_SEMANTICS))
+def test_closure_semantics_are_pinned(capsys, convention):
+    def sha(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    export, as_json, sets, n_sets = PINNED_CLOSURE_SEMANTICS[convention]
+    assert sha(cat.export_rules(cat.build_rules(convention))) == export
+    rc, out, _ = run(capsys, "catalog", "--json", "--z-convention", convention)
+    assert rc == 0 and sha(out) == as_json
+    rc, out, _ = run(capsys, "defining-sets", "--max-size", "3",
+                     "--z-convention", convention)
+    assert rc == 0 and len(out.splitlines()) == n_sets
+    assert sha(out) == sets
+
+
 def test_defining_sets_size_two(capsys):
     rc, out, _ = run(capsys, "defining-sets", "--max-size", "2")
     assert rc == 0
@@ -210,6 +245,27 @@ def test_search_replay_roundtrip(capsys, tmp_path):
                      "--library", str(library))
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_replay_uses_the_search_catalog(capsys, tmp_path):
+    # search certifies its library under the standard catalog only, so
+    # replay takes no convention: {z12,z34} is defining there, not under
+    # the reduced catalog
+    _, out, _ = run(capsys, "search", "--budget", "4", "--json")
+    path = tmp_path / "witnesses.jsonl"
+    path.write_text(out, encoding="utf-8")
+    rc, out, err = run(capsys, "replay", "--witness", str(path),
+                       "--z-convention", "reduced")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_search_rejects_zero_gmax(capsys):
+    rc, out, err = run(capsys, "search", "--budget", "4", "--gmax", "0")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_replay_rejects_tampered_witness(capsys, tmp_path):
