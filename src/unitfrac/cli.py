@@ -12,6 +12,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -204,12 +205,15 @@ def _cmd_search(args) -> int:
 def _cmd_replay(args) -> int:
     count = 0
     with open(args.witness, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            bound = bs.replay_witness(doc)
+            try:
+                bound = bs.replay_witness(json.loads(line))
+            except (ValueError, UnclearedDenominatorError) as exc:
+                raise InputError("%s:%d: %s"
+                                 % (args.witness, lineno, exc)) from None
             print("replayed: %s" % bound.describe())
             count += 1
     if count == 0:
@@ -263,6 +267,16 @@ def _cmd_regimes(args) -> int:
     return 0
 
 
+def _format_width(width: Fraction) -> str:
+    """%.3g of a positive rational, also below the float range (1e-400)."""
+    if width >= sys.float_info.min:
+        return "%.3g" % float(width)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        return "{:e}".format(
+            (decimal.Decimal(width.numerator) / width.denominator).normalize())
+
+
 def _cmd_sylvester(args) -> int:
     state = asym.sylvester(_parse_width(args.width))
     lo, hi = state.bracket
@@ -285,8 +299,9 @@ def _cmd_sylvester(args) -> int:
     scale = 10 ** 12
     lo_12 = lo.numerator * scale // lo.denominator
     hi_12 = -(-hi.numerator * scale // hi.denominator)
-    print("enclosure: [%d.%012d, %d.%012d], width %.3g"
-          % (*divmod(lo_12, scale), *divmod(hi_12, scale), float(state.width)))
+    print("enclosure: [%d.%012d, %d.%012d], width %s"
+          % (*divmod(lo_12, scale), *divmod(hi_12, scale),
+             _format_width(state.width)))
     if prefix is not None:
         text = str(prefix)
         print("certified: %s.%s" % (text[0], text[1:]))
@@ -462,8 +477,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_lift_report)
 
     p = sub.add_parser("sweep",
-                       help="verify every rule on every solution in a"
-                            " rectangle of fractions")
+                       help="check the decomposition laws, quotient"
+                            " integrality and the 13 inequalities on every"
+                            " solution in a rectangle of fractions")
     p.add_argument("--nmax", type=int, default=50)
     p.add_argument("--mfactor", type=int, default=4,
                    help="check m up to mfactor*n (default 4)")

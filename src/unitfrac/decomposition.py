@@ -31,6 +31,7 @@ from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import params as P
+from .catalog import build_inequalities
 from .errors import InputError, IntegralityError, InvariantError
 from .params import check_convention
 
@@ -297,89 +298,52 @@ class VerificationReport:
         )
 
 
-# The named identities re-checked by verify(): a spanning sample of the
-# closure catalog (two product identities, two pair-quotient definitions,
-# two triple-step relations, one quotient-product relation) plus the four
-# ordering inequalities used by the bound derivations.
-VERIFY_RULE_KEYS = (
-    "tprod:z123",
-    "tprod:z234",
-    "zpair:z23",
-    "zpair:z34",
-    "zstep:z23->z234",
-    "zstep:z34->z234",
-    "zprod:z134*z234",
-)
-VERIFY_INEQUALITY_KEYS = ("z23", "z34", "z234", "t1")
-
-
 def verify(dec: Decomposition) -> VerificationReport:
-    """Re-check the defining identities of a Decomposition one by one."""
-    from . import catalog  # imported here: catalog has no reverse dependency
+    """Re-check a Decomposition against the sweep's per-solution contract.
 
-    env = dec.env()
-    checks: List[CheckResult] = []
-
-    lhs = dec.m * dec.master_product()
-    checks.append(
-        CheckResult(
-            "master",
-            lhs == sum(dec.terms),
-            "%d = %s" % (lhs, " + ".join(str(v) for v in dec.terms)),
-        )
-    )
-
-    index = catalog.rule_index(dec.convention)
-    for key in VERIFY_RULE_KEYS:
-        rule = index[key]
-        left, parts = rule.sides(env)
-        checks.append(
-            CheckResult(
-                key,
-                left == sum(parts),
-                "%d = %s" % (left, " + ".join(str(v) for v in parts)),
-            )
-        )
-
-    bad = [
-        (p, q)
-        for p, q in INCOMPARABLE_PAIRS
-        if math.gcd(dec.x[p], dec.x[q]) != 1
-    ]
-    checks.append(
-        CheckResult(
-            "coprimality",
-            not bad,
-            "all %d incomparable pairs coprime" % len(INCOMPARABLE_PAIRS)
-            if not bad
-            else "shared factors: %s" % (bad,),
-        )
-    )
-
-    singles = tuple(dec.x["x%d" % i] for i in P.INDICES)
-    checks.append(
-        CheckResult(
-            "unit-singletons",
-            singles == (1, 1, 1, 1),
-            "x1..x4 = %s" % (singles,),
-        )
-    )
-
-    cof = tuple(math.gcd(dec.t[i - 1], dec.n // dec.pattern[i - 1]) for i in P.INDICES)
-    checks.append(
-        CheckResult(
-            "cofactor-coprime",
-            cof == (1, 1, 1, 1),
-            "gcd(t_i, n/n_i) = %s" % (cof,),
-        )
-    )
-
-    ineq_index = catalog.inequality_index()
-    for key in VERIFY_INEQUALITY_KEYS:
-        template = ineq_index[key]
-        left, right = template.evaluate_sides(env)
-        checks.append(
-            CheckResult("ineq:" + key, left <= right, "%d <= %d" % (left, right))
-        )
-
+    Each check carries the key `sweep_soundness` reports for it, and the
+    report stops where the sweep does: after a failed singleton, a failed
+    master equation or the first non-integral quotient.  Terms and z are
+    recomputed from m, the pattern and x, not read from the dataclass.
+    """
+    checks = [CheckResult("singleton:x%d" % i, dec.x["x%d" % i] == 1,
+                          "x%d = %d" % (i, dec.x["x%d" % i]))
+              for i in P.INDICES]
+    if not all(c.passed for c in checks):
+        return VerificationReport(tuple(checks))
+    data = pattern_data(dec.n, dec.pattern)
+    non_integral, master = None, "term1 + term2 + term3 + term4"
+    try:
+        terms, z = _quotient_kernel(dec.convention)(
+            dec.denominators, dec.m, *data, **dec.x)
+    except InvariantError as exc:
+        checks.append(CheckResult("master", False, str(exc)))
+        return VerificationReport(tuple(checks))
+    except IntegralityError as exc:
+        non_integral = exc
+    else:
+        master = " + ".join(map(str, terms))
+    checks.append(CheckResult(
+        "master", True, "%d = %s" % (dec.m * dec.master_product(), master)))
+    for i, nn in zip(P.INDICES, data[4:8]):
+        g = math.gcd(dec.t[i - 1], nn)
+        checks.append(CheckResult("coprime:t%d" % i, g == 1,
+                                  "gcd(t%d, n/n%d) = %d" % (i, i, g)))
+    for a, b in INCOMPARABLE_PAIRS:
+        g = math.gcd(dec.x[a], dec.x[b])
+        checks.append(CheckResult("coprime:%s*%s" % (a, b), g == 1,
+                                  "gcd(%s, %s) = %d" % (a, b, g)))
+    if non_integral is not None:
+        checks.append(CheckResult("zint:" + non_integral.param, False,
+                                  str(non_integral)))
+        return VerificationReport(tuple(checks))
+    checks += [CheckResult("zint:" + name, True, "%s = %d" % (name, value))
+               for name, value in zip(P.Z_PARAMS, z)]
+    env = dict(zip(("m", "n") + PATTERN_ARGS, (dec.m, dec.n) + data))
+    env.update(dec.x)
+    env.update(zip(P.Z_PARAMS, z))
+    for tmpl in build_inequalities():
+        left, right = tmpl.evaluate_sides(env)
+        checks.append(CheckResult("ineq:" + tmpl.key, left <= right,
+                                  "%d <= %d" % (left, right)))
     return VerificationReport(tuple(checks))

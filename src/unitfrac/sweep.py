@@ -20,7 +20,8 @@ quotient lines that `decompose()` runs and from the inequality templates
 in `catalog`; the compiled function works on flat local integers.  Under
 the "reduced" convention the pair quotients are not always integral; such
 solutions carry no decomposition to check and are counted as skipped
-rather than failed.
+rather than failed.  `decomposition.verify` is the one-solution form: it
+reports the same check keys and stops where this checker stops.
 """
 
 from __future__ import annotations

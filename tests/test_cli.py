@@ -306,6 +306,24 @@ def test_replay_rejects_witness_missing_a_key(capsys, tmp_path):
     assert "raw_pattern" in err
 
 
+def test_replay_error_names_the_line(capsys, tmp_path):
+    _, out, _ = run(capsys, "search", "--budget", "4", "--json")
+    path = tmp_path / "witnesses.jsonl"
+    path.write_text(out + "garbage\n", encoding="utf-8")
+    rc, replay_out, err = run(capsys, "replay", "--witness", str(path))
+    assert rc == 1
+    assert len(replay_out.splitlines()) == len(out.splitlines()) == 10
+    assert err.startswith("error: %s:11: " % path)
+    # a witness that parses but does not replay is located the same way
+    doc = json.loads(out.splitlines()[0])
+    doc["A"] = doc["A"] - 1
+    path.write_text(out.splitlines()[0] + "\n" + json.dumps(doc) + "\n",
+                    encoding="utf-8")
+    rc, _, err = run(capsys, "replay", "--witness", str(path))
+    assert rc == 1
+    assert ":2: witness A/B do not replay" in err
+
+
 def test_replay_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "replay", "--witness",
                      str(tmp_path / "nope.jsonl"))
@@ -392,6 +410,13 @@ def test_sylvester_enclosure_rounds_outward(capsys):
     assert rc == 0
     assert "enclosure: [1.597910218031, 1.597910218032], width 2e-42" in out
     assert "certified: 1.597910218031" in out
+
+
+def test_sylvester_width_below_float_range(capsys):
+    # the enclosure width here is about 1e-402, which a float rounds to 0
+    rc, out, _ = run(capsys, "sylvester", "--width", "1e-400")
+    assert rc == 0
+    assert "], width 1e-402\n" in out
 
 
 def test_sylvester_rejects_bad_width(capsys):

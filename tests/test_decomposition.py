@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +16,7 @@ from unitfrac import params as P
 from unitfrac.decomposition import (
     INCOMPARABLE_PAIRS,
     decompose,
+    pattern_data,
     pattern_of,
     reconstruct,
     relative_gcds,
@@ -22,6 +24,7 @@ from unitfrac.decomposition import (
 )
 from unitfrac.enumeration import enumerate_representations
 from unitfrac.errors import InputError, IntegralityError
+from unitfrac.sweep import compiled_checker
 
 
 def test_pattern_of():
@@ -160,3 +163,32 @@ def test_decompose_inverts_on_own_sum(a):
         return
     assert red.x == dec.x and red.terms == dec.terms
     assert reconstruct(red) == a
+
+
+_SOLUTIONS = [(Fraction(m, n), tuple(sol))
+              for m, n in ((1, 1), (3, 7), (5, 6), (2, 5))
+              for sol in enumerate_representations(m, n, 4).solutions]
+_FIELDS = [("x", p) for p in P.X_PARAMS] + [("t", i) for i in range(4)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_SOLUTIONS), st.sampled_from(P.CONVENTIONS),
+       st.sampled_from(_FIELDS), st.integers(min_value=1, max_value=60))
+def test_verify_reports_what_the_sweep_checker_reports(solution, convention,
+                                                       field, value):
+    fraction, a = solution
+    try:
+        dec = decompose(a, fraction, convention=convention)
+    except IntegralityError:
+        return
+    kind, key = field
+    if kind == "x":
+        bad = dataclasses.replace(dec, x={**dec.x, key: value})
+    else:
+        t = list(dec.t)
+        t[key] = value
+        bad = dataclasses.replace(dec, t=tuple(t))
+    expected = compiled_checker(convention)(
+        bad.m, bad.n, *pattern_data(bad.n, bad.pattern),
+        *(bad.x[p] for p in P.X_PARAMS), *bad.t)
+    assert {c.name for c in verify(bad).failures()} == set(expected)
