@@ -237,14 +237,23 @@ def default_library() -> Tuple[FrozenSet[str], ...]:
 
 
 def _library_supports(
-    library: Sequence[FrozenSet[str]],
+    library: Optional[Sequence[FrozenSet[str]]],
 ) -> Tuple[Tuple[Tuple[int, ...], FrozenSet[str]], ...]:
-    """Each library set with the sorted positions of its parameters."""
+    """Each library set with the sorted positions of its parameters.
+
+    None stands for the default library, defining by construction.  Every
+    set of any other library must be defining: a partition over a set that
+    is not would certify nothing.
+    """
     out = []
-    for s in library:
+    for s in default_library() if library is None else library:
         for p in s:
             if p not in _PARAM_POS:
                 raise InputError("unknown parameter %r in library set" % p)
+        if library is not None and not is_defining(s):
+            raise InputError(
+                "library set %s is not defining; partitions over it"
+                " would certify nothing" % sorted(s))
         out.append((tuple(sorted(_PARAM_POS[p] for p in s)), frozenset(s)))
     return tuple(out)
 
@@ -300,7 +309,7 @@ class _Packer:
     parameter at most g_max times, so capacity beyond that never matters.
     """
 
-    def __init__(self, library: Sequence[FrozenSet[str]], g_max: int):
+    def __init__(self, library: Optional[Sequence[FrozenSet[str]]], g_max: int):
         self.lib = _library_supports(library)
         self.g_max = g_max
         self.memo: Dict[Tuple[int, ...], Tuple[Tuple[FrozenSet[str], ...], ...]] = {}
@@ -365,7 +374,7 @@ def partition(
     """
     if g < 1:
         raise InputError("g must be >= 1, got %d" % g)
-    packer = _Packer(default_library() if library is None else library, g)
+    packer = _Packer(library, g)
     return packer.split(_exponent_vector(lhs), g)
 
 
@@ -377,7 +386,7 @@ def max_feasible_g(
     """Largest g <= g_max for which partition(lhs, g) succeeds (0 if none)."""
     if g_max < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
-    packer = _Packer(default_library() if library is None else library, g_max)
+    packer = _Packer(library, g_max)
     return len(packer.first_bases(_exponent_vector(lhs)))
 
 
@@ -520,22 +529,13 @@ def search(
     number of (combination, t-assignment) nodes examined; hitting it
     returns the partial frontier with complete=False.
     """
-    if budget < 0:
-        raise InputError("budget must be >= 0, got %d" % budget)
+    if budget < 1:
+        raise InputError("budget must be >= 1, got %d" % budget)
     if g_max < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
     if node_limit is not None and node_limit < 1:
         raise InputError("node_limit must be >= 1, got %d" % node_limit)
-    if library is None:
-        lib = default_library()
-    else:
-        lib = tuple(library)
-        for base in lib:
-            if not is_defining(base):
-                raise InputError(
-                    "library set %s is not defining; partitions over it"
-                    " would certify nothing" % sorted(base))
-    packer = _Packer(lib, g_max)
+    packer = _Packer(library, g_max)
     index = inequality_index()
     frontier = _Frontier()
     scale = lcm(*range(1, g_max + 1))

@@ -10,37 +10,49 @@ so fixing integer values for all input parameters pins the output product
 down to divisor-count-many choices.  For families 2-8 the rule is its
 equation alone: the inputs are the parameters of the right-hand terms and
 the outputs those of the left-hand term, read off the same Term data the
-symbolic proof in the tests certifies.  Eight construction families:
+symbolic proof in the tests certifies.
+
+Families 2-7 come from one construction (`_rearranged`): take the master
+equation m * prod(x_J) = term_1 + .. + term_4, or the definition of a
+quotient z_J * (x-divisor of z_J) = sum(term_i : i in J) / d_J, replace
+the terms of some blocks B by d_B * z_B * (x-divisor of z_B), and cancel
+the x-monomial common to every side.  The x-divisor is stated once, in
+params.quotient_divisor.
 
 1. "factor"  (55): the master equation rearranged for an unknown pair
-   {x_J, x_K} and factored into (C*x_J + a)(C*x_K + b) = const.
-2. "zpair"    (6): the defining display of a pair quotient z_ij.
-3. "ztriple"  (4): the defining display of a triple quotient z_ijk.
-4. "zstep"   (12): z_ijk expressed through one pair quotient z_ij.
-5. "tprod"    (4): m * prod(x_J : l in J) = d_ijk z_ijk + n/n_l.
-6. "expand"   (6): the master equation with term_i + term_j collapsed
-   into d_ij x_kl z_ij.
-7. "split"    (3): both opposite pairs collapsed: m * prod = d z + d z.
-8. "zprod"    (6): the product of two triple quotients sharing a pair.
+   {x_J, x_K} and factored into (C*x_J + a)(C*x_K + b) = const; written
+   out, and evaluated from the master equation.
+2. "zpair"    (6): the definition of a pair quotient z_ij.
+3. "ztriple"  (4): the definition of a triple quotient z_ijk.
+4. "zstep"   (12): the definition of z_ijk with the block {i, j}.
+5. "tprod"    (4): the master equation with the block {i, j, k}.
+6. "expand"   (6): the master equation with the block {i, j}.
+7. "split"    (3): the master equation with the blocks {i, j}, {k, l}.
+8. "zprod"    (6): the product of two triple quotients sharing a pair;
+   written out.
 
-The module also builds the 13 inequality templates (six pair-quotient
-bounds, four triple-quotient bounds, three cofactor size bounds) used by
-the bound search.  All checks are evaluated in exact integer arithmetic
-over an environment dict as produced by Decomposition.env().
+The module also builds the 13 inequality templates used by the bound
+search: the ten z-bounds are the standard definitions of families 2 and 3
+with the right side bounded by its number of terms times its largest,
+first term; three cofactor size bounds follow.  All checks are evaluated
+in exact integer arithmetic over an environment dict as produced by
+Decomposition.env().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import params as P
 from .params import check_convention
 
 Env = Mapping[str, int]
+Subset = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +160,6 @@ FAMILY_NAMES = {
 }
 
 
-def _xor_params(i: int, j: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """x-parameters containing j but not i, and i but not j."""
-    with_j = tuple(
-        P.x_name(B) for B in P.X_SUBSETS if j in B and i not in B
-    )
-    with_i = tuple(
-        P.x_name(B) for B in P.X_SUBSETS if i in B and j not in B
-    )
-    return with_j, with_i
-
-
 def _make_rule(family: int, key: str, lhs: Term,
                rhs: Tuple[Term, ...]) -> ClosureRule:
     return ClosureRule(
@@ -214,102 +215,43 @@ def _factor_rule(pj: str, pk: str) -> ClosureRule:
     )
 
 
-def _zpair_rule(ij: Tuple[int, int], convention: str) -> ClosureRule:
-    i, j = ij
-    kl = P.complement_pair(ij)
-    with_j, with_i = _xor_params(i, j)
-    lhs_params = (P.z_name(ij), P.x_name(ij))
-    if convention == "reduced":
-        lhs_params += (P.x_name(kl),)
-    rhs = (
-        Term(with_j, num_syms=("nn%d" % i,), den_syms=(P.d_name(ij),)),
-        Term(with_i, num_syms=("nn%d" % j,), den_syms=(P.d_name(ij),)),
-    )
-    return _make_rule(2, "zpair:%s" % P.z_name(ij), Term(lhs_params), rhs)
+def _rearranged(source: Optional[Subset], blocks: Tuple[Subset, ...],
+                convention: str) -> Tuple[Term, Tuple[Term, ...]]:
+    """(lhs, rhs) of the master equation or of the definition of a quotient.
 
-
-def _ztriple_rule(T: Tuple[int, int, int]) -> ClosureRule:
-    lhs = Term((P.z_name(T),) + tuple(P.x_name(p) for p in combinations(T, 2))
-               + (P.x_name(T),))
-    rhs = tuple(
-        Term(P.TERM_XPART[i], num_syms=("nn%d" % i,), den_syms=(P.d_name(T),))
-        for i in T
-    )
-    return _make_rule(3, "ztriple:%s" % P.z_name(T), lhs, rhs)
-
-
-def _zstep_rule(ij: Tuple[int, int], T: Tuple[int, int, int],
-                convention: str) -> ClosureRule:
-    i, j = ij
-    (k,) = tuple(v for v in T if v not in ij)
-    (l,) = tuple(v for v in P.INDICES if v not in T)
-    x_kl = P.x_name((k, l))
-    lhs = Term((P.z_name(T), P.x_name((i, k)), P.x_name((j, k)), P.x_name(T)))
-    first_params = (P.z_name(ij), x_kl)
-    if convention == "reduced":
-        first_params += (x_kl,)
-    rhs = (
-        Term(first_params, num_syms=(P.d_name(ij),), den_syms=(P.d_name(T),)),
-        Term(
-            (P.x_name((i, l)), P.x_name((j, l)), P.x_name((i, j, l))),
-            num_syms=("nn%d" % k,),
-            den_syms=(P.d_name(T),),
-        ),
-    )
-    return _make_rule(
-        4, "zstep:%s->%s" % (P.z_name(ij), P.z_name(T)), lhs, rhs
-    )
-
-
-def _tprod_rule(T: Tuple[int, int, int]) -> ClosureRule:
-    (l,) = tuple(v for v in P.INDICES if v not in T)
-    lhs = Term(P.CONTAINING[l], m_exp=1)
-    rhs = (
-        Term((P.z_name(T),), num_syms=(P.d_name(T),)),
-        Term((), num_syms=("nn%d" % l,)),
-    )
-    return _make_rule(5, "tprod:%s" % P.z_name(T), lhs, rhs)
-
-
-def _expand_rule(ij: Tuple[int, int], convention: str) -> ClosureRule:
-    k, l = P.complement_pair(ij)
-    name_ij = P.x_name(ij)
-    lhs = Term(tuple(p for p in P.X_PARAMS if p != name_ij), m_exp=1)
-    avoid_k = tuple(
-        P.x_name(B) for B in P.X_SUBSETS if k not in B and B != ij
-    )
-    avoid_l = tuple(
-        P.x_name(B) for B in P.X_SUBSETS if l not in B and B != ij
-    )
-    first_params = (P.z_name(ij), P.x_name((k, l)))
-    if convention == "reduced":
-        first_params += (P.x_name((k, l)),)
-    rhs = (
-        Term(first_params, num_syms=(P.d_name(ij),)),
-        Term(avoid_k, num_syms=("nn%d" % k,)),
-        Term(avoid_l, num_syms=("nn%d" % l,)),
-    )
-    return _make_rule(6, "expand:%s" % P.z_name(ij), lhs, rhs)
-
-
-def _split_rule(ij: Tuple[int, int], kl: Tuple[int, int],
-                convention: str) -> ClosureRule:
-    name_ij, name_kl = P.x_name(ij), P.x_name(kl)
-    lhs = Term(tuple(p for p in P.X_PARAMS if p not in (name_ij, name_kl)),
-               m_exp=1)
-    if convention == "reduced":
-        rhs = (
-            Term((P.z_name(ij), name_kl), num_syms=(P.d_name(ij),)),
-            Term((P.z_name(kl), name_ij), num_syms=(P.d_name(kl),)),
-        )
+    `source` None takes m * prod(x_J) = term_1 + .. + term_4; a subset J
+    takes z_J * (x-divisor of z_J) = sum(term_i : i in J) / d_J.  The terms
+    of each block B are replaced by d_B * z_B * (x-divisor of z_B), listed
+    first; the remaining terms follow in ascending index order.  Finally
+    the monomial common to every side, counted with multiplicity, is
+    cancelled.
+    """
+    if source is None:
+        lhs, den, indices = Term(P.X_PARAMS, m_exp=1), (), P.INDICES
     else:
-        rhs = (
-            Term((P.z_name(ij),), num_syms=(P.d_name(ij),)),
-            Term((P.z_name(kl),), num_syms=(P.d_name(kl),)),
-        )
-    return _make_rule(
-        7, "split:%s+%s" % (P.z_name(ij), P.z_name(kl)), lhs, rhs
-    )
+        lhs = Term((P.z_name(source),) + P.quotient_divisor(source, convention))
+        den, indices = (P.d_name(source),), source
+    rhs = [Term((P.z_name(B),) + P.quotient_divisor(B, convention),
+                num_syms=(P.d_name(B),), den_syms=den) for B in blocks]
+    rhs += [Term(P.TERM_XPART[i], num_syms=("nn%d" % i,), den_syms=den)
+            for i in indices if not any(i in B for B in blocks)]
+    common = Counter(lhs.params)
+    for term in rhs:
+        common &= Counter(term.params)
+    # repeated parameters sit side by side, so elements() keeps their order
+    lhs, *rhs = (replace(t, params=tuple((Counter(t.params) - common).elements()))
+                 for t in [lhs] + rhs)
+    return lhs, tuple(rhs)
+
+
+def _derived_rule(family: int, source: Optional[Subset],
+                  blocks: Tuple[Subset, ...], convention: str) -> ClosureRule:
+    names = ["+".join(P.z_name(B) for B in blocks)] if blocks else []
+    if source is not None:
+        names.append(P.z_name(source))
+    lhs, rhs = _rearranged(source, blocks, convention)
+    return _make_rule(family, "%s:%s" % (FAMILY_NAMES[family], "->".join(names)),
+                      lhs, rhs)
 
 
 def _zprod_rule(T1: Tuple[int, int, int], T2: Tuple[int, int, int],
@@ -321,26 +263,16 @@ def _zprod_rule(T1: Tuple[int, int, int], T2: Tuple[int, int, int],
     kl = tuple(sorted((c1, c2)))
     x_kl = P.x_name(kl)
     lhs = Term((P.z_name(T1), P.z_name(T2)))
-    cross_params = [P.z_name(shared), x_kl, x_kl,
-                    P.x_name((i,) + kl), P.x_name((j,) + kl), P.x_name(P.QUAD)]
-    if convention == "reduced":
-        cross_params.insert(1, x_kl)
-    rhs = (
-        Term(
-            (),
-            num_syms=("nn%d" % c1, "nn%d" % c2),
-            den_syms=(P.d_name(T1), P.d_name(T2)),
-        ),
-        Term(
-            tuple(cross_params),
-            m_exp=1,
-            num_syms=(P.d_name(shared),),
-            den_syms=(P.d_name(T1), P.d_name(T2)),
-        ),
-    )
-    return _make_rule(
-        8, "zprod:%s*%s" % (P.z_name(T1), P.z_name(T2)), lhs, rhs
-    )
+    # the x-divisor of z_ij without its leading x_ij
+    cross_params = ((P.z_name(shared),) + P.quotient_divisor(shared, convention)[1:]
+                    + (x_kl, P.x_name((i,) + kl), P.x_name((j,) + kl),
+                       P.x_name(P.QUAD)))
+    den = (P.d_name(T1), P.d_name(T2))
+    rhs = (Term((), num_syms=("nn%d" % c1, "nn%d" % c2), den_syms=den),
+           Term(cross_params, m_exp=1, num_syms=(P.d_name(shared),),
+                den_syms=den))
+    return _make_rule(8, "zprod:%s*%s" % (P.z_name(T1), P.z_name(T2)),
+                      lhs, rhs)
 
 
 @lru_cache(maxsize=None)
@@ -350,19 +282,17 @@ def build_rules(convention: str = "standard") -> Tuple[ClosureRule, ...]:
     rules: List[ClosureRule] = []
     for pj, pk in combinations(P.X_PARAMS, 2):
         rules.append(_factor_rule(pj, pk))
-    for ij in P.PAIRS:
-        rules.append(_zpair_rule(ij, convention))
-    for T in P.TRIPLES:
-        rules.append(_ztriple_rule(T))
+    for J in P.Z_SUBSETS:
+        rules.append(_derived_rule(len(J), J, (), convention))
     for T in P.TRIPLES:
         for ij in combinations(T, 2):
-            rules.append(_zstep_rule(ij, T, convention))
+            rules.append(_derived_rule(4, T, (ij,), convention))
     for T in P.TRIPLES:
-        rules.append(_tprod_rule(T))
+        rules.append(_derived_rule(5, None, (T,), convention))
     for ij in P.PAIRS:
-        rules.append(_expand_rule(ij, convention))
+        rules.append(_derived_rule(6, None, (ij,), convention))
     for ij, kl in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))):
-        rules.append(_split_rule(ij, kl, convention))
+        rules.append(_derived_rule(7, None, (ij, kl), convention))
     for T1, T2 in combinations(P.TRIPLES, 2):
         rules.append(_zprod_rule(T1, T2, convention))
     return tuple(rules)
@@ -436,43 +366,28 @@ class InequalityTemplate:
 
 @lru_cache(maxsize=None)
 def build_inequalities() -> Tuple[InequalityTemplate, ...]:
-    """The 13 templates: six pair bounds, four triple bounds, three sizes."""
+    """The 13 templates: ten z-bounds, then three cofactor sizes.
+
+    The z-bound for J is the standard defining display of z_J with its
+    right side bounded by the number of terms times the first: term_i is
+    n * prod(x_J) / a_i and a_1 <= .. <= a_4, so the first term is the
+    largest.  Factors common to both sides are cancelled.
+    """
     templates: List[InequalityTemplate] = []
-    for ij in P.PAIRS:
-        i, j = ij
-        with_j, _ = _xor_params(i, j)
+    for J in P.Z_SUBSETS:
+        lhs, rhs = _rearranged(J, (), "standard")
+        first = rhs[0]
+        (nn,), (d,) = first.num_syms, first.den_syms
+        common = Counter(lhs.params) & Counter(first.params)
         templates.append(
             InequalityTemplate(
-                key=P.z_name(ij),
-                lhs={P.z_name(ij): 1, P.x_name(ij): 1},
-                rhs={p: 1 for p in with_j},
+                key=P.z_name(J),
+                lhs=dict(Counter(lhs.params) - common),
+                rhs=dict(Counter(first.params) - common),
                 n_exp=1,
                 m_exp=0,
-                constant=2,
-                pattern={"n%d" % i: 1, P.d_name(ij): 1},
-            )
-        )
-    for T in P.TRIPLES:
-        i, j, k = T
-        (l,) = tuple(v for v in P.INDICES if v not in T)
-        templates.append(
-            InequalityTemplate(
-                key=P.z_name(T),
-                lhs={
-                    P.z_name(T): 1,
-                    P.x_name((i, j)): 1,
-                    P.x_name((i, k)): 1,
-                    P.x_name(T): 1,
-                },
-                rhs={
-                    P.x_name((j, l)): 1,
-                    P.x_name((k, l)): 1,
-                    P.x_name((j, k, l)): 1,
-                },
-                n_exp=1,
-                m_exp=0,
-                constant=3,
-                pattern={"n%d" % i: 1, P.d_name(T): 1},
+                constant=len(rhs),
+                pattern={"n" + nn[2:]: 1, d: 1},
             )
         )
     for idx, (n_exp, m_exp, constant) in enumerate(

@@ -180,8 +180,6 @@ def _cmd_defining_sets(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.budget < 1:
-        raise InputError("--budget must be >= 1")
     library = _load_library(args.library) if args.library else None
     result = bs.search(args.budget, g_max=args.gmax, library=library,
                        node_limit=args.node_limit)

@@ -143,13 +143,8 @@ def quotient_lines(
                for line in fail("master", "mT", "term1 + term2 + term3 + term4")]
     quotients: List[str] = []
     for J in P.Z_SUBSETS:
-        den = [P.d_name(J)]
-        if len(J) == 2:
-            kl = P.x_name(P.complement_pair(J))
-            den += [P.x_name(J), kl] + ([kl] if convention == "reduced" else [])
-        else:
-            den += [P.x_name(p) for p in combinations(J, 2)] + [P.x_name(J)]
-        num, den = " + ".join("term%d" % i for i in J), product_expr(den)
+        num = " + ".join("term%d" % i for i in J)
+        den = product_expr((P.d_name(J),) + P.quotient_divisor(J, convention))
         quotients += ["%s, _r = divmod(%s, %s)" % (P.z_name(J), num, den),
                       "if _r:"]
         quotients += ["    " + line for line in fail(P.z_name(J), num, den)]

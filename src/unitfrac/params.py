@@ -8,6 +8,7 @@ fixed here and used everywhere: exports, set rendering, bitmask layout.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Tuple
 
 # Quotient-parameter conventions: "standard" divides the pair sum
@@ -80,6 +81,18 @@ def sort_params(names: Iterable[str]) -> Tuple[str, ...]:
 
 def complement_pair(ij: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(i for i in INDICES if i not in ij)
+
+
+def quotient_divisor(J: Tuple[int, ...], convention: str) -> Tuple[str, ...]:
+    """The x-divisor of z_J: z_J = sum(term_i : i in J) / (d_J * its product).
+
+    x_ij * x_kl for a pair (x_kl twice under "reduced"), and
+    x_ij * x_ik * x_jk * x_ijk for a triple.
+    """
+    if len(J) == 2:
+        kl = x_name(complement_pair(J))
+        return (x_name(J), kl) + ((kl,) if convention == "reduced" else ())
+    return tuple(x_name(p) for p in combinations(J, 2)) + (x_name(J),)
 
 
 def check_convention(convention: str) -> str:

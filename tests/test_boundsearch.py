@@ -428,3 +428,17 @@ def test_node_limit_marks_partial():
 def test_search_rejects_bad_library():
     with pytest.raises(InputError):
         search(4, library=[frozenset({"x12"})])
+
+
+def test_partition_and_max_feasible_g_reject_bad_library():
+    library = [frozenset({"x12"})]
+    with pytest.raises(InputError, match="not defining"):
+        partition({"x12": 1}, 1, library=library)
+    with pytest.raises(InputError, match="not defining"):
+        max_feasible_g({"x12": 3}, 6, library=library)
+
+
+def test_search_rejects_budget_below_one():
+    for bad in (0, -1):
+        with pytest.raises(InputError):
+            search(bad)

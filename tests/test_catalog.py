@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from unitfrac.catalog import (
 from unitfrac.decomposition import decompose
 from unitfrac.enumeration import enumerate_representations
 from unitfrac.errors import InputError
+from unitfrac.sweep import checker_source
 
 
 def test_rule_count_and_family_sizes():
@@ -162,6 +164,35 @@ def test_inequality_worked_values():
     index = inequality_index()
     assert index["z234"].evaluate_sides(env) == (2, 3)
     assert index["t1"].evaluate_sides(env) == (2, 4)
+
+
+# sha256 of the rules (family, key, equation, terms) and of the generated
+# sweep checker per convention, and of the inequality templates.  The
+# frozenset fields are left out: their repr order follows the hash seed.
+_PINS = {
+    "standard": (
+        "6f39f5cf696f9efaf19dd318490859201a5899f972a690694b2dff1786cc90d6",
+        "b016c94acb22eb01d9b2a1f0d92e9b0ba4bdae79978dcbf8865005fb9fe2746a"),
+    "reduced": (
+        "e300ec071acf17e71fc4e88ed134c7f1dc2493b72ca6a5f0591137422f8f68f5",
+        "649154828e672f246f4389d468e6c91790a3a8cd063c2c0c2aae70f08421247d"),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_catalog_and_checker_are_pinned(convention):
+    rules = "\n".join(repr((r.family, r.key, r.equation, r.terms))
+                      for r in build_rules(convention))
+    assert (_sha(rules), _sha(checker_source(convention))) == _PINS[convention]
+
+
+def test_inequality_templates_are_pinned():
+    assert _sha(repr(build_inequalities())) == (
+        "0ad4f82bab56eb21025e5b4e995801c4ab3bf583f28d857a858e0c103a289387")
 
 
 def test_convention_validation():

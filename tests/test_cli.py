@@ -268,6 +268,13 @@ def test_search_rejects_zero_gmax(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_search_rejects_zero_budget(capsys):
+    rc, out, err = run(capsys, "search", "--budget", "0")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_replay_rejects_tampered_witness(capsys, tmp_path):
     _, out, _ = run(capsys, "search", "--budget", "4", "--json")
     doc = json.loads(out.splitlines()[0])
