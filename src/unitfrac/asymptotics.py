@@ -149,7 +149,6 @@ class Regime:
     c: Fraction
     formula: BoundFormula
     value: Fraction
-    all_values: Tuple[Fraction, ...]
 
 
 def regime(c) -> Regime:
@@ -164,7 +163,6 @@ def regime(c) -> Regime:
         c=c,
         formula=regime_table()[region][2],
         value=best_value(c),
-        all_values=tuple(f.n_exp(c) for f in FORMULAS),
     )
 
 

@@ -12,7 +12,9 @@ Pattern factors shrink the n-exponent via the two facts
 n_i*n_j*d_ij >= n and n_i*n_j*n_k*d_ijk >= n (disjoint applications,
 matched exhaustively).  If the left monomial splits into g parts whose
 supports each contain a defining set, the smallest part is bounded by the
-g-th root, giving the exponent pair (A/g, B/g).  `search` enumerates all
+g-th root, giving the exponent pair (A/g, B/g).  The matching and the
+split are both the lexicographically first packing of sets under a
+capacity vector, and one scan finds them.  `search` enumerates all
 Combinations within a total-multiplicity budget and returns the Pareto
 frontier of derived bounds (A/g ascending, B/g descending), each with a
 replayable witness.
@@ -48,6 +50,13 @@ _SYMBOL_ORDER: Tuple[str, ...] = P.PATTERN_SYMBOLS
 _SYMBOL_POS = {s: i for i, s in enumerate(_SYMBOL_ORDER)}
 
 
+def _integer(value, name: str) -> int:
+    """`value` if it is an int and not a bool, else InputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
 def normalize_combination(combination: Combination) -> Dict[str, int]:
     """Validated copy with templates in canonical order, zeros dropped."""
     out: Dict[str, int] = {}
@@ -55,7 +64,7 @@ def normalize_combination(combination: Combination) -> Dict[str, int]:
         if key not in _TEMPLATE_POS:
             raise InputError("unknown inequality template %r" % key)
     for key in TEMPLATE_ORDER:
-        mult = int(combination.get(key, 0))
+        mult = _integer(combination.get(key, 0), key)
         if mult < 0:
             raise InputError("negative multiplicity for %s" % key)
         if mult:
@@ -153,6 +162,57 @@ def combine(combination: Combination) -> MonomialInequality:
 
 
 # ---------------------------------------------------------------------------
+# the packing scan: pattern reductions and partitions both take their
+# canonical choice from it
+
+
+def _first_packings(
+    supports: Sequence[Tuple[int, ...]],
+    vec: Sequence[int],
+    limit: int,
+) -> List[Tuple[int, ...]]:
+    """Entry k-1 is the first packing of k sets under `vec`, for k <= limit.
+
+    A packing is a nondecreasing sequence of indices into `supports` whose
+    position sets, summed componentwise, stay under `vec`.  The
+    depth-first scan meets these sequences in lexicographic order, so the
+    first one it reaches at depth k is the canonical k-set packing.
+    Feasibility is monotone (drop a set), so the list is as long as the
+    largest packing, clipped at `limit`.
+    """
+    vec = list(vec)
+    chosen: List[int] = []
+    firsts: List[Tuple[int, ...]] = []
+
+    def scan(start: int) -> bool:
+        """Extend `chosen`, recording first arrivals; True once at limit."""
+        depth = len(chosen)
+        if depth > len(firsts):
+            firsts.append(tuple(chosen))
+        if depth >= limit:
+            return True
+        for idx in range(start, len(supports)):
+            support = supports[idx]
+            for pos in support:
+                if vec[pos] < 1:
+                    break
+            else:  # the set fits: take it, scan on, put it back
+                for pos in support:
+                    vec[pos] -= 1
+                chosen.append(idx)
+                done = scan(idx)
+                chosen.pop()
+                for pos in support:
+                    vec[pos] += 1
+                if done:
+                    return True
+        return False
+
+    scan(0)
+    return firsts
+
+
+# ---------------------------------------------------------------------------
 # pattern simplification
 
 
@@ -182,26 +242,11 @@ def pattern_reductions(
             raise InputError("unknown pattern symbol %r" % s)
     counts = [pattern.get(s, 0) for s in _SYMBOL_ORDER]
     # no other instance holds an instance's d-symbol, so one without it
-    # can never apply
+    # can never apply, and no matching outnumbers the live d-symbols
     live = [ip for ip in _INSTANCE_POS if counts[ip[1][-1]] >= 1]
-
-    def best(start: int) -> Tuple[Tuple[str, ...], ...]:
-        result: Tuple[Tuple[str, ...], ...] = ()
-        for idx in range(start, len(live)):
-            inst, positions = live[idx]
-            if any(counts[pos] < 1 for pos in positions):
-                continue
-            for pos in positions:
-                counts[pos] -= 1
-            # the same instance may apply again, so recurse from idx
-            cand = (inst,) + best(idx)
-            for pos in positions:
-                counts[pos] += 1
-            if len(cand) > len(result):
-                result = cand
-        return result
-
-    apps = best(0)
+    firsts = _first_packings([pos for _, pos in live], counts,
+                             sum(counts[pos[-1]] for _, pos in live))
+    apps = tuple(live[idx][0] for idx in firsts[-1]) if firsts else ()
     return len(apps), apps
 
 
@@ -238,15 +283,17 @@ def default_library() -> Tuple[FrozenSet[str], ...]:
 
 def _library_supports(
     library: Optional[Sequence[FrozenSet[str]]],
-) -> Tuple[Tuple[Tuple[int, ...], FrozenSet[str]], ...]:
-    """Each library set with the sorted positions of its parameters.
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[FrozenSet[str], ...]]:
+    """The library's sets, each with the sorted positions of its parameters.
 
-    None stands for the default library, defining by construction.  Every
-    set of any other library must be defining: a partition over a set that
-    is not would certify nothing.
+    Returns (supports, sets), index-aligned.  None stands for the default
+    library, defining by construction.  Every set of any other library
+    must be defining: a partition over a set that is not would certify
+    nothing.
     """
-    out = []
-    for s in default_library() if library is None else library:
+    sets = tuple(frozenset(s) for s in
+                 (default_library() if library is None else library))
+    for s in sets:
         for p in s:
             if p not in _PARAM_POS:
                 raise InputError("unknown parameter %r in library set" % p)
@@ -254,8 +301,7 @@ def _library_supports(
             raise InputError(
                 "library set %s is not defining; partitions over it"
                 " would certify nothing" % sorted(s))
-        out.append((tuple(sorted(_PARAM_POS[p] for p in s)), frozenset(s)))
-    return tuple(out)
+    return tuple(tuple(sorted(_PARAM_POS[p] for p in s)) for s in sets), sets
 
 
 @dataclass(frozen=True)
@@ -296,68 +342,14 @@ def _exponent_vector(lhs: Mapping[str, int]) -> List[int]:
     return vec
 
 
-class _Packer:
-    """First packing of each size under an exponent vector, memoized.
-
-    A packing of size g is a nondecreasing sequence of g library indices
-    whose sets, summed componentwise, stay under the vector.  The
-    depth-first scan meets these sequences in lexicographic order, so the
-    first one it reaches at depth g is the canonical g-part packing.
-    Feasibility is monotone (drop a set), so the number of depths reached
-    is the packing number clipped at g_max.  Components are clipped at
-    g_max for the memo key: a packing of at most g_max sets uses each
-    parameter at most g_max times, so capacity beyond that never matters.
-    """
-
-    def __init__(self, library: Optional[Sequence[FrozenSet[str]]], g_max: int):
-        self.lib = _library_supports(library)
-        self.g_max = g_max
-        self.memo: Dict[Tuple[int, ...], Tuple[Tuple[FrozenSet[str], ...], ...]] = {}
-
-    def first_bases(self, vec: Sequence[int]) -> Tuple[Tuple[FrozenSet[str], ...], ...]:
-        """Entry g-1 holds the bases of the first packing of size g."""
-        clipped = tuple(min(v, self.g_max) for v in vec)
-        found = self.memo.get(clipped)
-        if found is None:
-            firsts: List[Tuple[FrozenSet[str], ...]] = []
-            self._pack(list(clipped), 0, [], firsts)
-            found = self.memo[clipped] = tuple(firsts)
-        return found
-
-    def _pack(self, vec: List[int], start: int, chosen: List[FrozenSet[str]],
-              firsts: List[Tuple[FrozenSet[str], ...]]) -> bool:
-        """Extend `chosen`, recording first arrivals; True once g_max is hit."""
-        if len(chosen) > len(firsts):
-            firsts.append(tuple(chosen))
-        if len(chosen) >= self.g_max:
-            return True
-        for idx in range(start, len(self.lib)):
-            support, sset = self.lib[idx]
-            if any(vec[pos] < 1 for pos in support):
-                continue
-            for pos in support:
-                vec[pos] -= 1
-            chosen.append(sset)
-            done = self._pack(vec, idx, chosen, firsts)
-            chosen.pop()
-            for pos in support:
-                vec[pos] += 1
-            if done:
-                return True
-        return False
-
-    def split(self, vec: Sequence[int], g: int) -> Optional[Partition]:
-        """The first g-part packing with its leftover, or None."""
-        firsts = self.first_bases(vec)
-        if g > len(firsts):
-            return None
-        bases = firsts[g - 1]
-        left = list(vec)
-        for base in bases:
-            for p in base:
-                left[_PARAM_POS[p]] -= 1
-        leftover = {_PARAM_ORDER[i]: v for i, v in enumerate(left) if v}
-        return Partition(bases=bases, leftover=leftover)
+def _partition_of(vec: Sequence[int], bases: Sequence[FrozenSet[str]]) -> Partition:
+    """`bases` with the occurrences of `vec` that they leave over."""
+    left = list(vec)
+    for base in bases:
+        for p in base:
+            left[_PARAM_POS[p]] -= 1
+    return Partition(bases=tuple(bases), leftover={
+        _PARAM_ORDER[i]: v for i, v in enumerate(left) if v})
 
 
 def partition(
@@ -369,13 +361,17 @@ def partition(
 
     Finds g library sets (repetition allowed) whose componentwise sum
     stays under the exponent vector; everything left over is assigned to
-    the first part.  Deterministic first solution of a backtracking scan
-    in canonical library order; None when infeasible.
+    the first part.  The bases are the lexicographically first such
+    sequence in canonical library order; None when infeasible.
     """
     if g < 1:
         raise InputError("g must be >= 1, got %d" % g)
-    packer = _Packer(library, g)
-    return packer.split(_exponent_vector(lhs), g)
+    supports, sets = _library_supports(library)
+    vec = _exponent_vector(lhs)
+    packings = _first_packings(supports, vec, g)
+    if len(packings) < g:
+        return None
+    return _partition_of(vec, [sets[idx] for idx in packings[-1]])
 
 
 def max_feasible_g(
@@ -386,8 +382,8 @@ def max_feasible_g(
     """Largest g <= g_max for which partition(lhs, g) succeeds (0 if none)."""
     if g_max < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
-    packer = _Packer(library, g_max)
-    return len(packer.first_bases(_exponent_vector(lhs)))
+    supports, _ = _library_supports(library)
+    return len(_first_packings(supports, _exponent_vector(lhs), g_max))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +531,7 @@ def search(
         raise InputError("g_max must be >= 1, got %d" % g_max)
     if node_limit is not None and node_limit < 1:
         raise InputError("node_limit must be >= 1, got %d" % node_limit)
-    packer = _Packer(library, g_max)
+    supports, sets = _library_supports(library)
     index = inequality_index()
     frontier = _Frontier()
     scale = lcm(*range(1, g_max + 1))
@@ -553,14 +549,14 @@ def search(
         raw_pattern = {s: trow[pos] for pos, s in _SYMBOL_COLS if trow[pos]}
         q, apps = pattern_reductions(raw_pattern)
         a_total, b_total = trow[_N_COL] - q, trow[_M_COL]
-        feasible = None
+        packings = None
         for g in range(1, g_max + 1):
             key = (a_total * scale // g, b_total * scale // g)
             if frontier.covered(key):
                 continue
-            if feasible is None:
-                feasible = len(packer.first_bases(vec))
-            if g > feasible:
+            if packings is None:
+                packings = _first_packings(supports, vec, g_max)
+            if g > len(packings):
                 return
             combo = dict(items)
             ineq = MonomialInequality(
@@ -579,7 +575,8 @@ def search(
                 A=a_total,
                 B=b_total,
                 g=g,
-                partition=packer.split(vec, g),
+                partition=_partition_of(
+                    vec, [sets[idx] for idx in packings[g - 1]]),
             ))
 
     def t_loop(items, remaining) -> bool:
@@ -679,43 +676,46 @@ def replay_witness(doc: Mapping) -> DerivedBound:
     the stored exponent vector, constant, A, B, raw pattern and pattern
     reductions, and that the stored partition is valid: bases are defining
     sets, the base sum fits under the exponent vector, and leftover matches
-    exactly.  A document that is not an object, lacks a field or holds a
-    value of the wrong shape raises InputError.
+    exactly.  A document that is not an object, lacks a field, holds a
+    value of the wrong shape (every number must be a JSON integer) or is
+    too large for the reduction scan's recursion raises InputError.
     """
     if not isinstance(doc, Mapping):
         raise InputError("witness must be a JSON object, got %s"
                          % type(doc).__name__)
     try:
         combo = normalize_combination(dict(doc["combination"]))
-        raw_pattern = {k: int(v) for k, v in doc["raw_pattern"].items()}
-        stored_exp = {k: int(v) for k, v in doc["exponents"].items()}
+        raw_pattern = {k: _integer(v, k) for k, v in doc["raw_pattern"].items()}
+        stored_exp = {k: _integer(v, k) for k, v in doc["exponents"].items()}
         constant, a_total, b_total, g = (
-            int(doc[key]) for key in ("constant", "A", "B", "g"))
+            _integer(doc[key], key) for key in ("constant", "A", "B", "g"))
         bases = tuple(frozenset(b) for b in doc["partition"]["bases"])
         for base in bases:
             P.params_to_mask(base)  # ValueError on an unknown name
-        stored_leftover = {k: int(v)
+        stored_leftover = {k: _integer(v, k)
                            for k, v in doc["partition"]["leftover"].items()}
         stored_apps = doc["reductions"]
         if not (isinstance(stored_apps, list)
                 and all(isinstance(app, list) for app in stored_apps)):
             raise TypeError("reductions must be a list of symbol lists")
         stored_apps = tuple(tuple(app) for app in stored_apps)
-    except InputError:
-        raise
     except KeyError as exc:
         raise InputError("witness has no %s field" % exc) from None
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError) as exc:  # InputError too
         raise InputError("malformed witness: %s" % exc) from None
     if g < 1:
         raise InputError("witness g must be >= 1, got %d" % g)
     raw = combine(combo)
     if dict(raw.pattern) != raw_pattern:
         raise InputError("witness raw pattern does not replay")
-    _, apps = pattern_reductions(raw.pattern)
+    try:
+        _, apps = pattern_reductions(raw.pattern)
+        simplified = simplify_pattern(raw)
+    except RecursionError:
+        # the scan recurses once per application
+        raise InputError("witness too large to replay") from None
     if apps != stored_apps:
         raise InputError("witness reductions do not replay")
-    simplified = simplify_pattern(raw)
     if dict(simplified.exponents) != stored_exp:
         raise InputError("witness exponent vector does not replay")
     if simplified.constant != constant:

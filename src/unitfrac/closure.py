@@ -38,7 +38,6 @@ class CompiledRules:
     """Input/output bitmasks plus an input->rules index for fast closure."""
 
     def __init__(self, rules: Sequence[ClosureRule]):
-        self.rules = tuple(rules)
         self.input_masks = tuple(P.params_to_mask(r.inputs) for r in rules)
         self.output_masks = tuple(P.params_to_mask(r.outputs) for r in rules)
         by_param: List[List[int]] = [[] for _ in range(P.N_PARAMS)]

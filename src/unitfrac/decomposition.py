@@ -180,7 +180,6 @@ class Decomposition:
     pattern: Tuple[int, int, int, int]
     t: Tuple[int, int, int, int]
     x: Mapping[str, int]  # keys x1..x4 and x12..x1234
-    d: Mapping[str, int]  # keys d12..d34, d123..d234
     z: Mapping[str, int]  # keys z12..z34, z123..z234
     terms: Tuple[int, int, int, int]  # master-equation summands
     convention: str
@@ -251,7 +250,6 @@ def decompose(
         pattern=pattern,
         t=t,
         x=x,
-        d=dict(zip(P.D_SYMBOLS, data[-len(P.D_SYMBOLS):])),
         z=dict(zip(P.Z_PARAMS, z)),
         terms=terms,
         convention=convention,

@@ -230,6 +230,33 @@ def test_partition_packs_every_feasible_g(exps):
         assert partition(lhs, top + 1) is None
 
 
+# a random sub-library, kept in default order, and a zero-heavy vector
+@settings(deadline=None)
+@given(st.lists(st.booleans(), min_size=len(default_library()),
+                max_size=len(default_library())),
+       st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(P.PARAM_ORDER),
+                max_size=len(P.PARAM_ORDER)),
+       st.integers(1, 3))
+def test_partition_is_the_first_fitting_combination(keep, exps, g):
+    library = [s for s, k in zip(default_library(), keep) if k]
+    lhs = {p: e for p, e in zip(P.PARAM_ORDER, exps) if e}
+    expected = None
+    for combo in combinations_with_replacement(range(len(library)), g):
+        left = dict(lhs)
+        for idx in combo:
+            for p in library[idx]:
+                left[p] = left.get(p, 0) - 1
+        if all(v >= 0 for v in left.values()):
+            expected = ([library[idx] for idx in combo],
+                        {p: v for p, v in left.items() if v})
+            break
+    result = partition(lhs, g, library=library)
+    if expected is None:
+        assert result is None
+    else:
+        assert (list(result.bases), dict(result.leftover)) == expected
+
+
 def test_search_tiny_budget():
     result = search(4)
     assert result.complete
@@ -402,6 +429,14 @@ def test_witness_roundtrip_and_tamper_detection(budget_nine):
     del missing["reductions"]
     with pytest.raises(InputError, match="no 'reductions' field"):
         replay_witness(missing)
+    # every number is a JSON integer; none is truncated into shape
+    line = json.loads(witness_to_json(search(4).frontier[0]))
+    for field, value in (("A", 2.9), ("constant", 12.7), ("g", True)):
+        with pytest.raises(InputError, match="malformed witness"):
+            replay_witness(dict(line, **{field: value}))
+    fractional = dict(line, combination=dict(line["combination"], z234=1.5))
+    with pytest.raises(InputError, match="malformed witness"):
+        replay_witness(fractional)
 
 
 def test_witness_json_is_deterministic():

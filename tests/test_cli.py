@@ -313,6 +313,44 @@ def test_replay_rejects_witness_missing_a_key(capsys, tmp_path):
     assert "raw_pattern" in err
 
 
+def test_replay_rejects_non_integer_numbers(capsys, tmp_path):
+    _, out, _ = run(capsys, "search", "--budget", "4", "--json")
+    doc = json.loads(out.splitlines()[0])
+    doc.update(A=2.9, constant=12.7, g=True)
+    doc["combination"]["z234"] = 1.5
+    path = tmp_path / "fractional.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, "replay", "--witness", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: %s:1: malformed witness" % path)
+    assert err.count("\n") == 1
+
+
+def test_replay_rejects_witness_too_deep_to_scan(capsys, tmp_path):
+    # combine() takes this combination to this raw pattern, whose 1500
+    # reductions need one level of recursion each
+    _, out, _ = run(capsys, "search", "--budget", "4", "--json")
+    doc = json.loads(out.splitlines()[0])
+    doc["combination"] = {"t1": 1500, "t2": 1500, "t3": 1500, "z12": 1500}
+    doc["raw_pattern"] = {"n1": 3000, "n2": 1500, "n3": 1500, "d12": 1500}
+    path = tmp_path / "deep.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, "replay", "--witness", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: %s:1: witness too large to replay\n" % path
+
+
+def test_readme_library_example_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
 def test_replay_error_names_the_line(capsys, tmp_path):
     _, out, _ = run(capsys, "search", "--budget", "4", "--json")
     path = tmp_path / "witnesses.jsonl"
