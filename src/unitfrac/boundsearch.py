@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -258,14 +258,7 @@ def simplify_pattern(raw: MonomialInequality) -> MonomialInequality:
     constant * n^(A - q) / m^B.
     """
     q, _ = pattern_reductions(raw.pattern)
-    return MonomialInequality(
-        combination=raw.combination,
-        exponents=raw.exponents,
-        constant=raw.constant,
-        n_exp=raw.n_exp - q,
-        m_exp=raw.m_exp,
-        pattern={},
-    )
+    return replace(raw, n_exp=raw.n_exp - q, pattern={})
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +387,26 @@ def max_feasible_g(
 class DerivedBound:
     """One witnessed bound: smallest of g parts <= const^(1/g) n^(A/g)/m^(B/g)."""
 
-    combination: Mapping[str, int]
     inequality: MonomialInequality  # simplified form (pattern folded away)
     raw_pattern: Mapping[str, int]
     reductions: Tuple[Tuple[str, ...], ...]
-    A: int
-    B: int
-    g: int
     partition: Partition
+
+    @property
+    def combination(self) -> Mapping[str, int]:
+        return self.inequality.combination
+
+    @property
+    def A(self) -> int:
+        return self.inequality.n_exp
+
+    @property
+    def B(self) -> int:
+        return self.inequality.m_exp
+
+    @property
+    def g(self) -> int:
+        return self.partition.g
 
     @property
     def score(self) -> Tuple[Fraction, Fraction]:
@@ -496,8 +501,13 @@ _ROWS = tuple((t.key, _template_row(t)) for t in build_inequalities())
 # the ten z-templates come first, then t1, t2, t3
 _Z_ROWS, _T_ROWS = _ROWS[:len(P.Z_PARAMS)], _ROWS[len(P.Z_PARAMS):]
 
+# every template constant is at least this
+_MIN_CONSTANT = min(t.constant for t in build_inequalities())
 # the most one template adds to any parameter exponent
 _STEP = max(v for _, row in _ROWS for pos, v in row if pos < _NPARAMS)
+# the most parameter occurrences one template adds (t1-t3 add 7 each)
+_MOST_ADDED = max(sum(v for pos, v in row if pos < _NPARAMS and v > 0)
+                  for _, row in _ROWS)
 # the parameter positions some z-template lowers: before the t-templates
 # are added, only these can be negative
 _DEFICIT_POS = tuple(sorted({pos for _, row in _Z_ROWS for pos, v in row
@@ -531,11 +541,13 @@ def search(
         raise InputError("g_max must be >= 1, got %d" % g_max)
     if node_limit is not None and node_limit < 1:
         raise InputError("node_limit must be >= 1, got %d" % node_limit)
+    started = time.perf_counter()
     supports, sets = _library_supports(library)
     index = inequality_index()
     frontier = _Frontier()
+    # every part of a packing takes an occurrence, so no larger g fits
+    g_max = min(g_max, budget * _MOST_ADDED)
     scale = lcm(*range(1, g_max + 1))
-    started = time.perf_counter()
     examined = 0
     complete = True
 
@@ -558,9 +570,8 @@ def search(
                 packings = _first_packings(supports, vec, g_max)
             if g > len(packings):
                 return
-            combo = dict(items)
             ineq = MonomialInequality(
-                combination=combo,
+                combination=dict(items),
                 exponents={_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v},
                 constant=prod(index[k].constant ** m for k, m in items),
                 n_exp=a_total,
@@ -568,13 +579,9 @@ def search(
                 pattern={},
             )
             frontier.insert(key, DerivedBound(
-                combination=combo,
                 inequality=ineq,
                 raw_pattern=raw_pattern,
                 reductions=apps,
-                A=a_total,
-                B=b_total,
-                g=g,
                 partition=_partition_of(
                     vec, [sets[idx] for idx in packings[g - 1]]),
             ))
@@ -672,13 +679,14 @@ def witness_to_json(bound: DerivedBound) -> str:
 def replay_witness(doc: Mapping) -> DerivedBound:
     """Re-derive a witness document from scratch and cross-check it.
 
-    Runs combine and simplify_pattern on the stored combination, verifies
-    the stored exponent vector, constant, A, B, raw pattern and pattern
-    reductions, and that the stored partition is valid: bases are defining
-    sets, the base sum fits under the exponent vector, and leftover matches
-    exactly.  A document that is not an object, lacks a field, holds a
-    value of the wrong shape (every number must be a JSON integer) or is
-    too large for the reduction scan's recursion raises InputError.
+    Runs combine and pattern_reductions on the stored combination,
+    verifies the stored exponent vector, constant, A, B, raw pattern and
+    pattern reductions, and that the stored partition is valid: bases are
+    defining sets, the base sum fits under the exponent vector, and
+    leftover matches exactly.  A document that is not an object, lacks a
+    field, holds a value of the wrong shape (every number must be a JSON
+    integer), has more total multiplicity than its constant has bits, or
+    is too large for the reduction scan's recursion raises InputError.
     """
     if not isinstance(doc, Mapping):
         raise InputError("witness must be a JSON object, got %s"
@@ -705,17 +713,22 @@ def replay_witness(doc: Mapping) -> DerivedBound:
         raise InputError("malformed witness: %s" % exc) from None
     if g < 1:
         raise InputError("witness g must be >= 1, got %d" % g)
+    # each template multiplies the constant by at least _MIN_CONSTANT;
+    # refusing too few bits here keeps combine() off unbounded powers
+    if (sum(combo.values()) * (_MIN_CONSTANT.bit_length() - 1)
+            >= constant.bit_length()):
+        raise InputError("witness too large to replay")
     raw = combine(combo)
     if dict(raw.pattern) != raw_pattern:
         raise InputError("witness raw pattern does not replay")
     try:
         _, apps = pattern_reductions(raw.pattern)
-        simplified = simplify_pattern(raw)
     except RecursionError:
         # the scan recurses once per application
         raise InputError("witness too large to replay") from None
     if apps != stored_apps:
         raise InputError("witness reductions do not replay")
+    simplified = replace(raw, n_exp=raw.n_exp - len(apps), pattern={})
     if dict(simplified.exponents) != stored_exp:
         raise InputError("witness exponent vector does not replay")
     if simplified.constant != constant:
@@ -725,26 +738,20 @@ def replay_witness(doc: Mapping) -> DerivedBound:
     if len(bases) != g:
         raise InputError("witness partition has %d bases, g=%d"
                          % (len(bases), g))
-    vec = _exponent_vector(stored_exp)
     for base in bases:
         if not is_defining(base):
             raise InputError("witness base %s is not defining"
                              % ",".join(P.sort_params(base)))
-        for p in base:
-            vec[_PARAM_POS[p]] -= 1
-            if vec[_PARAM_POS[p]] < 0:
-                raise InputError("witness bases exceed the exponent vector "
-                                 "at %s" % p)
-    leftover = {_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v}
-    if leftover != stored_leftover:
+    part = _partition_of(_exponent_vector(stored_exp), bases)
+    for p, v in part.leftover.items():
+        if v < 0:
+            raise InputError("witness bases exceed the exponent vector "
+                             "at %s" % p)
+    if part.leftover != stored_leftover:
         raise InputError("witness leftover does not replay")
     return DerivedBound(
-        combination=combo,
         inequality=simplified,
         raw_pattern=dict(raw.pattern),
         reductions=apps,
-        A=simplified.n_exp,
-        B=simplified.m_exp,
-        g=g,
-        partition=Partition(bases=bases, leftover=leftover),
+        partition=part,
     )

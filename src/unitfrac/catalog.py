@@ -20,8 +20,8 @@ the x-monomial common to every side.  The x-divisor is stated once, in
 params.quotient_divisor.
 
 1. "factor"  (55): the master equation rearranged for an unknown pair
-   {x_J, x_K} and factored into (C*x_J + a)(C*x_K + b) = const; written
-   out, and evaluated from the master equation.
+   {x_J, x_K} and factored into (C*x_J + a)(C*x_K + b) = const; only
+   its inputs and its outputs (the pair) are stored.
 2. "zpair"    (6): the definition of a pair quotient z_ij.
 3. "ztriple"  (4): the definition of a triple quotient z_ijk.
 4. "zstep"   (12): the definition of z_ijk with the block {i, j}.
@@ -34,16 +34,13 @@ params.quotient_divisor.
 The module also builds the 13 inequality templates used by the bound
 search: the ten z-bounds are the standard definitions of families 2 and 3
 with the right side bounded by its number of terms times its largest,
-first term; three cofactor size bounds follow.  All checks are evaluated
-in exact integer arithmetic over an environment dict as produced by
-Decomposition.env().
+first term; three cofactor size bounds follow.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -71,20 +68,6 @@ class Term:
     m_exp: int = 0
     num_syms: Tuple[str, ...] = ()
     den_syms: Tuple[str, ...] = ()
-
-    def value(self, env: Env):
-        num = 1
-        if self.m_exp:
-            num = env["m"] ** self.m_exp
-        for s in self.num_syms:
-            num *= env[s]
-        for p in self.params:
-            num *= env[p]
-        den = 1
-        for s in self.den_syms:
-            den *= env[s]
-        q, r = divmod(num, den)
-        return Fraction(num, den) if r else q
 
     def __str__(self) -> str:
         num: List[str] = []
@@ -124,8 +107,8 @@ class ClosureRule:
     fire; firing bounds every parameter in `outputs` by a divisor count.
     `terms` holds the symbolic form (lhs, rhs-tuple) for families 2-8,
     whose inputs and outputs are the parameters of the right- and
-    left-hand side.  It is empty for family 1, whose constants are
-    assembled at evaluation time from the master equation.
+    left-hand side.  It is empty for family 1, the master equation
+    factored for the pair `outputs`, which `equation` only describes.
     """
 
     family: int
@@ -134,18 +117,6 @@ class ClosureRule:
     outputs: frozenset
     equation: str
     terms: Tuple = ()
-
-    def sides(self, env: Env) -> Tuple:
-        """Exact values (left, parts); the rule holds when left == sum(parts)."""
-        if self.terms:
-            lhs, rhs = self.terms
-            return lhs.value(env), tuple(t.value(env) for t in rhs)
-        pj, pk = self.outputs  # either order: the factored form is symmetric
-        return _factor_sides(pj, pk, env)
-
-    def evaluate(self, env: Env) -> bool:
-        left, parts = self.sides(env)
-        return left == sum(parts)
 
 
 FAMILY_NAMES = {
@@ -170,36 +141,6 @@ def _make_rule(family: int, key: str, lhs: Term,
         equation="%s = %s" % (lhs, " + ".join(str(t) for t in rhs)),
         terms=(lhs, rhs),
     )
-
-
-def _factor_sides(pj: str, pk: str, env: Env) -> Tuple:
-    """Family 1: master equation factored for the unknown pair {pj, pk}.
-
-    Every master-equation monomial is classified by whether it contains
-    pj and/or pk; the four class sums C11, C10, C01, C00 (signed, with the
-    left-hand side positive) give C11*xj*xk + C10*xj + C01*xk + C00 = 0,
-    checked in the factored form (C11*xj + C01)(C11*xk + C10) =
-    C01*C10 - C11*C00, or linearly when C11 vanishes.
-    """
-    xj = env[pj]
-    xk = env[pk]
-    c11 = env["mT"] // (xj * xk)
-    c10 = c01 = c00 = 0
-    for i in P.INDICES:
-        v = env["term%d" % i]
-        has_j = pj in P.TERM_XPART[i]
-        has_k = pk in P.TERM_XPART[i]
-        if has_j and has_k:
-            c11 -= v // (xj * xk)
-        elif has_j:
-            c10 -= v // xj
-        elif has_k:
-            c01 -= v // xk
-        else:
-            c00 -= v
-    if c11:
-        return (c11 * xj + c01) * (c11 * xk + c10), (c01 * c10 - c11 * c00,)
-    return c10 * xj + c01 * xk, (-c00,)
 
 
 def _factor_rule(pj: str, pk: str) -> ClosureRule:
@@ -410,9 +351,3 @@ def build_inequalities() -> Tuple[InequalityTemplate, ...]:
 @lru_cache(maxsize=None)
 def inequality_index() -> Mapping[str, InequalityTemplate]:
     return {t.key: t for t in build_inequalities()}
-
-
-def evaluate_rule(rule, dec_or_env) -> bool:
-    """True iff the rule/template holds on the decomposition (exactly / as <=)."""
-    env = dec_or_env.env() if hasattr(dec_or_env, "env") else dec_or_env
-    return rule.evaluate(env)

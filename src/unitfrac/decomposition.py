@@ -193,11 +193,11 @@ class Decomposition:
         return self.fraction.denominator
 
     def env(self) -> Dict[str, int]:
-        """Flat evaluation environment for rule and inequality checks.
+        """Flat evaluation environment for the inequality templates.
 
         Keys: m, n, n1..n4, nn1..nn4 (nn_i = n/n_i), the ten d-constants,
-        the eleven x-parameters, the ten z-parameters, plus the cached
-        master-equation data mT (the full product m * prod x_J) and
+        the eleven x-parameters, the ten z-parameters, plus the two sides
+        of the master equation: mT (the full product m * prod x_J) and
         term1..term4 (the four summands).
         """
         env: Dict[str, int] = {"m": self.m, "n": self.n}

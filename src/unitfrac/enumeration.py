@@ -10,8 +10,9 @@ next denominator a satisfies
 and the final two denominators are read off from the divisors of q^2 via
 (p*a - q)(p*b - q) = q^2 instead of a scan.  The divisors up to q are
 built from the factorization of q, and only those giving an integral
-a >= previous are kept.  A plain scanning tail is kept as an independent
-oracle (enumerate_naive) for equivalence testing.
+a >= previous are kept.  An independent oracle for equivalence testing
+(enumerate_naive, or divisor_tail=False) scans every a instead and never
+reduces the remainder.
 
 count_representations runs the same recursion on ints: its two-term tail
 counts the admissible divisors instead of turning them into pairs, so no
@@ -92,38 +93,41 @@ def _tail_divisors(prev: int, p: int, q: int) -> List[int]:
     return [d for d in divs if d % p == r and d >= lo]
 
 
-def _tail_pairs(prev: int, p: int, q: int) -> List[Tuple[int, int]]:
-    # sorting the pairs by a puts them in lexicographic order
-    qq = q * q
-    pairs = [((d + q) // p, (qq // d + q) // p)
-             for d in _tail_divisors(prev, p, q)]
-    pairs.sort()
-    return pairs
-
-
-def _iter_raw(prev: int, p: int, q: int, j: int, divisor_tail: bool) -> Iterator[tuple]:
+def _iter_raw(prev: int, p: int, q: int, j: int) -> Iterator[tuple]:
     if j == 1:
         if q % p == 0 and q // p >= prev:
             yield (q // p,)
         return
-    if j == 2 and divisor_tail:
-        yield from _tail_pairs(prev, p, q)
-        return
-    lo = max(prev, q // p + 1)
-    hi = (j * q) // p
     if j == 2:
-        # scanning oracle tail
-        for a in range(lo, hi + 1):
-            num = p * a - q
-            den = q * a
-            if den % num == 0 and den // num >= a:
-                yield (a, den // num)
+        # sorting the pairs by a puts them in lexicographic order
+        qq = q * q
+        yield from sorted(((d + q) // p, (qq // d + q) // p)
+                          for d in _tail_divisors(prev, p, q))
         return
-    for a in range(lo, hi + 1):
+    for a in range(max(prev, q // p + 1), (j * q) // p + 1):
         np_, nq = p * a - q, q * a
         g = gcd(np_, nq)
-        for tail in _iter_raw(a, np_ // g, nq // g, j - 1, divisor_tail):
+        for tail in _iter_raw(a, np_ // g, nq // g, j - 1):
             yield (a,) + tail
+
+
+def _iter_scan(prev: int, num: int, den: int, j: int) -> Iterator[tuple]:
+    # The oracle for _iter_raw: num/den is never reduced, and every a with
+    # 1/a < num/den <= j/a is tried, the last two denominators included.
+    lo = max(prev, den // num + 1)
+    hi = j * den // num
+    if j == 1:
+        if den % num == 0 and den // num >= prev:
+            yield (den // num,)
+    elif j == 2:
+        for a in range(lo, hi + 1):
+            r_num, r_den = num * a - den, den * a
+            if r_den % r_num == 0 and r_den // r_num >= a:
+                yield (a, r_den // r_num)
+    else:
+        for a in range(lo, hi + 1):
+            for tail in _iter_scan(a, num * a - den, den * a, j - 1):
+                yield (a,) + tail
 
 
 def iter_raw_solutions(m: int, n: int, k: int, divisor_tail: bool = True) -> Iterator[tuple]:
@@ -131,10 +135,10 @@ def iter_raw_solutions(m: int, n: int, k: int, divisor_tail: bool = True) -> Ite
     p, q = _check_query(m, n, k)
     if k == 0:
         return iter(())
-    return _iter_raw(1, p, q, k, divisor_tail)
+    return (_iter_raw if divisor_tail else _iter_scan)(1, p, q, k)
 
 
-def _collect(m: int, n: int, k: int, cap, divisor_tail: bool) -> EnumerationResult:
+def _collect(m: int, n: int, k: int, cap, walk) -> EnumerationResult:
     p, q = _check_query(m, n, k)
     if cap is not None and cap < 0:
         raise InputError("cap must be >= 0, got %d" % cap)
@@ -142,7 +146,7 @@ def _collect(m: int, n: int, k: int, cap, divisor_tail: bool) -> EnumerationResu
     sols: List[SolutionTuple] = []
     complete = True
     if k > 0:
-        for tup in _iter_raw(1, p, q, k, divisor_tail):
+        for tup in walk(1, p, q, k):
             if cap is not None and len(sols) == cap:
                 complete = False
                 break
@@ -156,18 +160,18 @@ def enumerate_representations(m: int, n: int, k: int, cap: int | None = None) ->
     With cap (>= 0), at most cap solutions are returned and .complete goes
     False when the enumeration was truncated.
     """
-    return _collect(m, n, k, cap, divisor_tail=True)
+    return _collect(m, n, k, cap, _iter_raw)
 
 
 def enumerate_naive(m: int, n: int, k: int, cap: int | None = None) -> EnumerationResult:
-    """Oracle: same bounded recursion, but the last two denominators are
-    found by scanning instead of the divisor factorization."""
-    return _collect(m, n, k, cap, divisor_tail=False)
+    """Oracle: the same result from a plain integer scan that never reduces
+    the remainder and tries every candidate for the last two denominators."""
+    return _collect(m, n, k, cap, _iter_scan)
 
 
 def _count(prev: int, p: int, q: int, j: int) -> int:
-    # _iter_raw with divisor_tail=True, returning how many tuples it
-    # would yield instead of yielding them
+    # _iter_raw, returning how many tuples it would yield instead of
+    # yielding them
     if j == 1:
         return 1 if q % p == 0 and q // p >= prev else 0
     if j == 2:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -447,6 +448,15 @@ def test_witness_json_is_deterministic():
     for line in first:
         assert "\n" not in line
         assert json.dumps(json.loads(line), sort_keys=True) == line
+
+
+def test_search_clamps_g_max_to_the_largest_possible_packing():
+    # budget 2 adds at most 14 occurrences, so no g above 14 can fit
+    start = time.perf_counter()
+    huge = search(2, g_max=300000)
+    assert time.perf_counter() - start < 1.0
+    assert ([witness_to_json(b) for b in huge.frontier]
+            == [witness_to_json(b) for b in search(2, g_max=14).frontier])
 
 
 def test_node_limit_marks_partial():

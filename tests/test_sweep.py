@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitfrac import params as P
-from unitfrac.catalog import build_inequalities, build_rules
+from unitfrac.catalog import build_inequalities
 from unitfrac.decomposition import decompose
 from unitfrac.enumeration import enumerate_representations
 from unitfrac.errors import InputError
@@ -42,7 +42,6 @@ def test_checker_passes_worked_example():
 
 
 def test_checker_agrees_with_reference_evaluators():
-    rules = build_rules()
     templates = build_inequalities()
     checker = compiled_checker("standard")
     for m, n in ((1, 1), (3, 7), (5, 6), (1, 2)):
@@ -51,7 +50,6 @@ def test_checker_agrees_with_reference_evaluators():
             env = dec.env()
             fails = checker(*_checker_args(dec))
             assert fails == [], (tuple(sol), fails)
-            assert all(rule.evaluate(env) for rule in rules)
             assert all(t.evaluate(env) for t in templates)
 
 
@@ -101,13 +99,10 @@ def _reference_keys(env, t, convention):
         env["z" + name], r = divmod(sum(terms[i] for i in J), den)
         if r:
             return fails + ["zint:z" + name]
-    env.update(("term%d" % i, v) for i, v in terms.items())
     for tmpl in build_inequalities():
         left, right = tmpl.evaluate_sides(env)
         if left > right:
             fails.append("ineq:" + tmpl.key)
-    # past the master and quotient checks every catalog identity holds
-    assert [r.key for r in build_rules(convention) if not r.evaluate(env)] == []
     return fails
 
 
