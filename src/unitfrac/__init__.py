@@ -40,7 +40,6 @@ from .boundsearch import (
     pattern_reductions,
     replay_witness,
     search,
-    simplify_pattern,
     witness_to_json,
 )
 from .catalog import (
@@ -157,7 +156,6 @@ __all__ = [
     "replay_witness",
     "rule_index",
     "search",
-    "simplify_pattern",
     "sort_sets",
     "sweep_soundness",
     "sylvester",

@@ -65,8 +65,8 @@ def pairwise_crossings() -> Tuple[Fraction, ...]:
     """All c in (0, 1) where two formulas agree, ascending (raw, unfiltered).
 
     Between two adjacent crossings no two formulas change order, so these
-    points with 0 and 1 cut [0, 1] into the pieces the envelope behind
-    regime_table() is evaluated on.
+    points with 0 and 1 cut [0, 1] into the pieces regime_table() is
+    evaluated on.
     """
     points = set()
     for i, f in enumerate(FORMULAS):
@@ -86,8 +86,8 @@ def best_value(c: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _envelope() -> Tuple[Tuple[Fraction, Fraction, BoundFormula], ...]:
-    """The regions of best(c) on [0, 1], each with its binding formula.
+def regime_table() -> Tuple[Tuple[Fraction, Fraction, BoundFormula], ...]:
+    """(c_low, c_high, active formula) for the six regions of [0, 1].
 
     On each piece between adjacent cuts (0, the pairwise crossings, 1) the
     sources attaining best(c) and the member binding each of them are
@@ -115,14 +115,9 @@ def _envelope() -> Tuple[Tuple[Fraction, Fraction, BoundFormula], ...]:
     return tuple(zip(starts, starts[1:] + [Fraction(1)], formulas))
 
 
-def regime_table() -> Tuple[Tuple[Fraction, Fraction, BoundFormula], ...]:
-    """(c_low, c_high, active formula) for the six regions of [0, 1]."""
-    return _envelope()
-
-
 def breakpoints() -> Tuple[Fraction, ...]:
     """The exact transition points of best(c), ascending."""
-    return tuple(lo for lo, _, _ in _envelope()[1:])
+    return tuple(lo for lo, _, _ in regime_table()[1:])
 
 
 def alpha_scale() -> int:
@@ -282,12 +277,13 @@ def lift_report(n_max: int) -> Tuple[LiftRow, ...]:
     if n_max > 8:
         raise InputError("n_max > 8 is not desk-scale for 5-term counts")
     rows: List[LiftRow] = []
+    exponent = float(fk_exponent(5))
     for n in range(1, n_max + 1):
         for m in range(1, 5 * n + 2):
             if math.gcd(m, n) != 1:
                 continue
             count = count_representations(m, n, 5)
-            shape = (n * n / m) ** 1.6
+            shape = (n * n / m) ** exponent
             rows.append(LiftRow(m=m, n=n, count=count, shape=shape))
     return tuple(rows)
 

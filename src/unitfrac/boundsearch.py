@@ -250,17 +250,6 @@ def pattern_reductions(
     return len(apps), apps
 
 
-def simplify_pattern(raw: MonomialInequality) -> MonomialInequality:
-    """Lower the n-exponent by the best disjoint instance matching.
-
-    The matched instances each absorb one factor n; all remaining pattern
-    symbols are then dropped (each is >= 1), leaving a clean bound
-    constant * n^(A - q) / m^B.
-    """
-    q, _ = pattern_reductions(raw.pattern)
-    return replace(raw, n_exp=raw.n_exp - q, pattern={})
-
-
 # ---------------------------------------------------------------------------
 # partitioning into defining-set groups
 
@@ -387,22 +376,30 @@ def max_feasible_g(
 class DerivedBound:
     """One witnessed bound: smallest of g parts <= const^(1/g) n^(A/g)/m^(B/g)."""
 
-    inequality: MonomialInequality  # simplified form (pattern folded away)
-    raw_pattern: Mapping[str, int]
+    raw: MonomialInequality  # as combine() returns it, pattern included
     reductions: Tuple[Tuple[str, ...], ...]
     partition: Partition
 
     @property
+    def inequality(self) -> MonomialInequality:
+        """The bound with each reduction absorbing one n, pattern dropped."""
+        return replace(self.raw, n_exp=self.A, pattern={})
+
+    @property
+    def raw_pattern(self) -> Mapping[str, int]:
+        return self.raw.pattern
+
+    @property
     def combination(self) -> Mapping[str, int]:
-        return self.inequality.combination
+        return self.raw.combination
 
     @property
     def A(self) -> int:
-        return self.inequality.n_exp
+        return self.raw.n_exp - len(self.reductions)
 
     @property
     def B(self) -> int:
-        return self.inequality.m_exp
+        return self.raw.m_exp
 
     @property
     def g(self) -> int:
@@ -413,7 +410,7 @@ class DerivedBound:
         return (Fraction(self.A, self.g), Fraction(self.B, self.g))
 
     def exponents(self) -> Mapping[str, int]:
-        return self.inequality.exponents
+        return self.raw.exponents
 
     def describe(self) -> str:
         a, b = self.score
@@ -570,17 +567,16 @@ def search(
                 packings = _first_packings(supports, vec, g_max)
             if g > len(packings):
                 return
-            ineq = MonomialInequality(
+            raw = MonomialInequality(
                 combination=dict(items),
                 exponents={_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v},
                 constant=prod(index[k].constant ** m for k, m in items),
-                n_exp=a_total,
+                n_exp=trow[_N_COL],
                 m_exp=b_total,
-                pattern={},
+                pattern=raw_pattern,
             )
             frontier.insert(key, DerivedBound(
-                inequality=ineq,
-                raw_pattern=raw_pattern,
+                raw=raw,
                 reductions=apps,
                 partition=_partition_of(
                     vec, [sets[idx] for idx in packings[g - 1]]),
@@ -660,9 +656,9 @@ def witness_to_json(bound: DerivedBound) -> str:
     """Deterministic single-line JSON for one derived bound."""
     doc = {
         "combination": dict(normalize_combination(bound.combination)),
-        "exponents": {p: bound.inequality.exponents[p]
-                      for p in P.sort_params(bound.inequality.exponents)},
-        "constant": bound.inequality.constant,
+        "exponents": {p: bound.raw.exponents[p]
+                      for p in P.sort_params(bound.raw.exponents)},
+        "constant": bound.raw.constant,
         "A": bound.A,
         "B": bound.B,
         "g": bound.g,
@@ -728,12 +724,11 @@ def replay_witness(doc: Mapping) -> DerivedBound:
         raise InputError("witness too large to replay") from None
     if apps != stored_apps:
         raise InputError("witness reductions do not replay")
-    simplified = replace(raw, n_exp=raw.n_exp - len(apps), pattern={})
-    if dict(simplified.exponents) != stored_exp:
+    if dict(raw.exponents) != stored_exp:
         raise InputError("witness exponent vector does not replay")
-    if simplified.constant != constant:
+    if raw.constant != constant:
         raise InputError("witness constant does not replay")
-    if simplified.n_exp != a_total or simplified.m_exp != b_total:
+    if raw.n_exp - len(apps) != a_total or raw.m_exp != b_total:
         raise InputError("witness A/B do not replay")
     if len(bases) != g:
         raise InputError("witness partition has %d bases, g=%d"
@@ -749,9 +744,4 @@ def replay_witness(doc: Mapping) -> DerivedBound:
                              "at %s" % p)
     if part.leftover != stored_leftover:
         raise InputError("witness leftover does not replay")
-    return DerivedBound(
-        inequality=simplified,
-        raw_pattern=dict(raw.pattern),
-        reductions=apps,
-        partition=part,
-    )
+    return DerivedBound(raw=raw, reductions=apps, partition=part)

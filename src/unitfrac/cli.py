@@ -26,12 +26,7 @@ from . import params as P
 from .closure import closure_report, minimal_defining_sets
 from .decomposition import decompose
 from .enumeration import count_representations, enumerate_representations
-from .errors import (
-    InputError,
-    IntegralityError,
-    InvariantError,
-    UnclearedDenominatorError,
-)
+from .errors import InputError, IntegralityError, InvariantError
 from .sweep import sweep_soundness
 
 class _Parser(argparse.ArgumentParser):
@@ -209,7 +204,7 @@ def _cmd_replay(args) -> int:
                 continue
             try:
                 bound = bs.replay_witness(json.loads(line))
-            except (ValueError, UnclearedDenominatorError) as exc:
+            except ValueError as exc:
                 raise InputError("%s:%d: %s"
                                  % (args.witness, lineno, exc)) from None
             print("replayed: %s" % bound.describe())
@@ -496,7 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, UnclearedDenominatorError) as exc:
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (IntegralityError, InvariantError) as exc:

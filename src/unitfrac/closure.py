@@ -4,8 +4,10 @@ A parameter set S is *defining* when repeatedly firing catalog rules
 ("all inputs known => every output known up to divisor counts") starting
 from S eventually covers all eleven x-parameters: the solution tuple is
 then pinned down to divisor-count-many choices once the values in S are
-fixed.  Sets are handled as bitmasks over the canonical 21-parameter
-order internally and as frozensets of parameter names at the API level.
+fixed.  The closure fires, in passes over all rules, every rule whose
+inputs are known, until a pass adds nothing.  Sets are handled as
+bitmasks over the canonical 21-parameter order internally and as
+frozensets of parameter names at the API level.
 """
 
 from __future__ import annotations
@@ -35,38 +37,26 @@ CORE_DEFINING_SETS: Tuple[ParamSet, ...] = (
 
 
 class CompiledRules:
-    """Input/output bitmasks plus an input->rules index for fast closure."""
+    """One (input mask, output mask) pair per rule, closed by repeated passes.
+
+    Each pass fires every rule whose inputs are all known; the loop stops
+    after a pass that adds nothing.  There is no work queue: with 96 rules
+    over 21 parameters a full pass costs less than the queue's bookkeeping.
+    """
 
     def __init__(self, rules: Sequence[ClosureRule]):
-        self.input_masks = tuple(P.params_to_mask(r.inputs) for r in rules)
-        self.output_masks = tuple(P.params_to_mask(r.outputs) for r in rules)
-        by_param: List[List[int]] = [[] for _ in range(P.N_PARAMS)]
-        for rid, mask in enumerate(self.input_masks):
-            for idx in range(P.N_PARAMS):
-                if mask >> idx & 1:
-                    by_param[idx].append(rid)
-        self.rules_by_input = tuple(tuple(ids) for ids in by_param)
+        self.masks = tuple(
+            (P.params_to_mask(r.inputs), P.params_to_mask(r.outputs))
+            for r in rules)
 
     def closure_mask(self, mask: int) -> int:
-        # one countdown per rule: each dequeued parameter (seed or derived)
-        # decrements every rule listing it; a rule fires when it hits zero
-        missing = [bin(im).count("1") for im in self.input_masks]
-        output_masks = self.output_masks
-        rules_by_input = self.rules_by_input
-        known = mask
-        queue = [i for i in range(P.N_PARAMS) if mask >> i & 1]
-        while queue:
-            idx = queue.pop()
-            for rid in rules_by_input[idx]:
-                missing[rid] -= 1
-                if missing[rid] == 0:
-                    new = output_masks[rid] & ~known
-                    if new:
-                        known |= new
-                        for j in range(P.N_PARAMS):
-                            if new >> j & 1:
-                                queue.append(j)
-        return known
+        before = -1
+        while before != mask:
+            before = mask
+            for need, give in self.masks:
+                if need & ~mask == 0:
+                    mask |= give
+        return mask
 
 
 @lru_cache(maxsize=None)

@@ -34,5 +34,5 @@ class InvariantError(UnitfracError, RuntimeError):
     """An internal invariant that should hold for valid inputs was violated."""
 
 
-class UnclearedDenominatorError(UnitfracError, ArithmeticError):
+class UnclearedDenominatorError(InputError, ArithmeticError):
     """Combining inequalities left a fractional coefficient uncleared."""

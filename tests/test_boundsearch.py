@@ -23,7 +23,6 @@ from unitfrac.boundsearch import (
     pattern_reductions,
     replay_witness,
     search,
-    simplify_pattern,
     witness_to_json,
 )
 from unitfrac.catalog import build_inequalities
@@ -153,16 +152,6 @@ def test_pattern_reductions_matches_exhaustive_matcher(pattern):
     assert pattern_reductions(pattern) == _first_matching(pattern)
 
 
-def test_simplify_pattern():
-    simple_a = simplify_pattern(combine(COMBO_A))
-    assert (simple_a.n_exp, simple_a.m_exp) == (6, 3)
-    assert simple_a.pattern == {}
-    assert str(simple_a).endswith("<= 1152*n^6/m^3")
-    simple_b = simplify_pattern(combine(COMBO_B))
-    assert (simple_b.n_exp, simple_b.m_exp) == (8, 5)
-    assert str(simple_b).endswith("<= 36864*n^8/m^5")
-
-
 def test_default_library():
     library = default_library()
     assert len(library) == 48
@@ -287,11 +276,13 @@ def test_search_reproduces_both_reference_bounds():
     assert dict(w1.exponents()) == EXPONENTS_A
     assert (w1.A, w1.B, w1.g) == (6, 3, 4)
     assert w1.inequality.constant == 1152
+    assert str(w1.inequality).endswith("<= 1152*n^6/m^3")
     w2 = by_score[(Fraction(8, 5), Fraction(1))]
     assert dict(w2.combination) == COMBO_B
     assert dict(w2.exponents()) == EXPONENTS_B
     assert (w2.A, w2.B, w2.g) == (8, 5, 5)
     assert w2.inequality.constant == 36864
+    assert str(w2.inequality).endswith("<= 36864*n^8/m^5")
     assert w2.reductions == (("n2", "n3", "d23"),)
     # nothing on the frontier dominates either reference point
     for bound in result.frontier:
@@ -299,7 +290,7 @@ def test_search_reproduces_both_reference_bounds():
             if bound.score != target.score:
                 assert not (bound.score[0] <= target.score[0]
                             and bound.score[1] >= target.score[1])
-    # every witness re-derives through combine() and simplify_pattern()
+    # every witness re-derives through combine() and pattern_reductions()
     witnesses = [witness_to_json(b) for b in result.frontier]
     assert len(witnesses) == 34
     for w in witnesses:

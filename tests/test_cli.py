@@ -384,6 +384,13 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
+def test_package_exports_resolve():
+    names = unitfrac.__all__
+    assert [n for n in names if not hasattr(unitfrac, n)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+
+
 def test_replay_error_names_the_line(capsys, tmp_path):
     _, out, _ = run(capsys, "search", "--budget", "4", "--json")
     path = tmp_path / "witnesses.jsonl"

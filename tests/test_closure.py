@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from unitfrac import params as P
+from unitfrac.catalog import build_rules
 from unitfrac.closure import (
     CORE_DEFINING_SETS,
     closure,
@@ -130,3 +133,26 @@ def test_defining_iff_closure_contains_all_x_params():
         s = _random_subset(rng)
         closed = closure(s)
         assert is_defining(s) == (frozenset(P.X_PARAMS) <= closed)
+
+
+def _reference_closure(s: frozenset, rules) -> frozenset:
+    """Least fixpoint over name sets, read straight off the rule list."""
+    known = frozenset(s)
+    while True:
+        grown = known.union(*(r.outputs for r in rules if r.inputs <= known))
+        if grown == known:
+            return known
+        known = grown
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_closure_matches_name_set_reference(convention):
+    rules = build_rules(convention)
+    # a rule with no inputs would fire from the empty set
+    assert all(r.inputs for r in rules)
+    rng = random.Random(15)
+    for _ in range(2000):
+        s = _random_subset(rng)
+        expected = _reference_closure(s, rules)
+        assert closure(s, convention) == expected, sorted(s)
+        assert is_defining(s, convention) == (frozenset(P.X_PARAMS) <= expected)
