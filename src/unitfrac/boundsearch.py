@@ -57,6 +57,13 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _count(value, name: str) -> int:
+    """`value` if it is an int >= 0 and not a bool, else InputError."""
+    if _integer(value, name) < 0:
+        raise InputError("%s must be an integer >= 0, got %r" % (name, value))
+    return value
+
+
 def normalize_combination(combination: Combination) -> Dict[str, int]:
     """Validated copy with templates in canonical order, zeros dropped."""
     out: Dict[str, int] = {}
@@ -64,9 +71,7 @@ def normalize_combination(combination: Combination) -> Dict[str, int]:
         if key not in _TEMPLATE_POS:
             raise InputError("unknown inequality template %r" % key)
     for key in TEMPLATE_ORDER:
-        mult = _integer(combination.get(key, 0), key)
-        if mult < 0:
-            raise InputError("negative multiplicity for %s" % key)
+        mult = _count(combination.get(key, 0), key)
         if mult:
             out[key] = mult
     return out
@@ -237,9 +242,10 @@ def pattern_reductions(
     order (`P.Z_SUBSETS`), applications listed in that order; witnesses
     store this choice as their `reductions`.
     """
-    for s in pattern:
+    for s, c in pattern.items():
         if s not in _SYMBOL_POS:
             raise InputError("unknown pattern symbol %r" % s)
+        _count(c, s)
     counts = [pattern.get(s, 0) for s in _SYMBOL_ORDER]
     # no other instance holds an instance's d-symbol, so one without it
     # can never apply, and no matching outnumbers the live d-symbols
@@ -318,9 +324,7 @@ def _exponent_vector(lhs: Mapping[str, int]) -> List[int]:
     for p, e in lhs.items():
         if p not in _PARAM_POS:
             raise InputError("unknown parameter %r" % p)
-        if e < 0:
-            raise InputError("negative exponent for %s" % p)
-        vec[_PARAM_POS[p]] += e
+        vec[_PARAM_POS[p]] += _count(e, p)
     return vec
 
 
@@ -346,7 +350,7 @@ def partition(
     the first part.  The bases are the lexicographically first such
     sequence in canonical library order; None when infeasible.
     """
-    if g < 1:
+    if _integer(g, "g") < 1:
         raise InputError("g must be >= 1, got %d" % g)
     supports, sets = _library_supports(library)
     vec = _exponent_vector(lhs)
@@ -362,7 +366,7 @@ def max_feasible_g(
     library: Optional[Sequence[FrozenSet[str]]] = None,
 ) -> int:
     """Largest g <= g_max for which partition(lhs, g) succeeds (0 if none)."""
-    if g_max < 1:
+    if _integer(g_max, "g_max") < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
     supports, _ = _library_supports(library)
     return len(_first_packings(supports, _exponent_vector(lhs), g_max))
@@ -441,35 +445,35 @@ class _Frontier:
     """Pareto points keyed by the integer pair (A*L/g, B*L/g).
 
     With L = lcm(1..g_max) every key is exact, so keys order and tie
-    exactly as the scores (A/g, B/g) do, in integer arithmetic.
+    exactly as the scores (A/g, B/g) do, in integer arithmetic.  The
+    points form an antichain, so no two share an A-key.
     """
 
     def __init__(self) -> None:
-        self.points: List[Tuple[Tuple[int, int], DerivedBound]] = []
+        self.points: Dict[Tuple[int, int], DerivedBound] = {}
 
     def covered(self, key: Tuple[int, int]) -> bool:
         """Another point has A/g no larger and B/g no smaller."""
         a, b = key
-        return any(pa <= a and pb >= b and (pa < a or pb > b)
-                   for (pa, pb), _ in self.points)
+        for pa, pb in self.points:
+            if pa <= a and pb >= b and (pa < a or pb > b):
+                return True
+        return False
 
     def insert(self, key: Tuple[int, int], bound: DerivedBound) -> None:
         """Add an uncovered point; a tie keeps the combination sorting first."""
-        for i, (k, existing) in enumerate(self.points):
-            if k == key:
-                if (combination_sort_key(existing.combination)
-                        <= combination_sort_key(bound.combination)):
-                    return
-                del self.points[i]
-                break
+        existing = self.points.get(key)
+        if existing is not None and (
+                combination_sort_key(existing.combination)
+                <= combination_sort_key(bound.combination)):
+            return
         a, b = key
-        self.points = [(k, p) for k, p in self.points
-                       if not (a <= k[0] and b >= k[1])]
-        self.points.append((key, bound))
+        self.points = {k: p for k, p in self.points.items()
+                       if not (a <= k[0] and b >= k[1])}
+        self.points[key] = bound
 
     def sorted(self) -> Tuple[DerivedBound, ...]:
-        return tuple(p for _, p in sorted(self.points,
-                                          key=lambda kp: (kp[0][0], -kp[0][1])))
+        return tuple(self.points[k] for k in sorted(self.points))
 
 
 # One integer row per template, in TEMPLATE_ORDER: the parameter exponents
@@ -495,8 +499,6 @@ def _template_row(tmpl: InequalityTemplate) -> Tuple[Tuple[int, int], ...]:
 
 
 _ROWS = tuple((t.key, _template_row(t)) for t in build_inequalities())
-# the ten z-templates come first, then t1, t2, t3
-_Z_ROWS, _T_ROWS = _ROWS[:len(P.Z_PARAMS)], _ROWS[len(P.Z_PARAMS):]
 
 # every template constant is at least this
 _MIN_CONSTANT = min(t.constant for t in build_inequalities())
@@ -505,14 +507,17 @@ _STEP = max(v for _, row in _ROWS for pos, v in row if pos < _NPARAMS)
 # the most parameter occurrences one template adds (t1-t3 add 7 each)
 _MOST_ADDED = max(sum(v for pos, v in row if pos < _NPARAMS and v > 0)
                   for _, row in _ROWS)
-# the parameter positions some z-template lowers: before the t-templates
-# are added, only these can be negative
-_DEFICIT_POS = tuple(sorted({pos for _, row in _Z_ROWS for pos, v in row
-                             if v < 0}))
-# which t-templates (index into _T_ROWS) supply each of those positions
-_T_COVER = {pos: tuple(i for i, (_, row) in enumerate(_T_ROWS)
-                       if dict(row).get(pos, 0) > 0)
-            for pos in _DEFICIT_POS}
+# the parameter positions some template lowers: only these can go negative
+_DEFICIT_POS = tuple(sorted({pos for _, row in _ROWS for pos, v in row
+                             if pos < _NPARAMS and v < 0}))
+# the last template that raises each position
+_LAST_RAISER = {pos: i for i, (_, row) in enumerate(_ROWS)
+                for pos, v in row if v > 0}
+# per template, the (deficit position, step) pairs no later template
+# raises: its multiplicity alone must clear those
+_CLEARS = tuple(tuple((pos, v) for pos, v in row
+                      if pos in _DEFICIT_POS and _LAST_RAISER[pos] == i)
+                for i, (_, row) in enumerate(_ROWS))
 # (row position, symbol) of each pattern symbol
 _SYMBOL_COLS = tuple(enumerate(_SYMBOL_ORDER, _NPARAMS))
 
@@ -528,15 +533,16 @@ def search(
     For each clearable combination the candidate points (A/g, B/g) for
     every feasible g <= g_max enter a Pareto frontier (A/g minimized
     first, B/g maximized second; ties prefer smaller total multiplicity,
-    then canonical template order).  `node_limit`, if given, caps the
-    number of (combination, t-assignment) nodes examined; hitting it
-    returns the partial frontier with complete=False.
+    then canonical template order).  `examined` counts the clearable
+    combinations scored, the empty one included.  `node_limit`, if
+    given, caps that count; `complete` is False exactly when a clearable
+    combination was left unexamined, and the frontier is then partial.
     """
-    if budget < 1:
+    if _integer(budget, "budget") < 1:
         raise InputError("budget must be >= 1, got %d" % budget)
-    if g_max < 1:
+    if _integer(g_max, "g_max") < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
-    if node_limit is not None and node_limit < 1:
+    if node_limit is not None and _integer(node_limit, "node_limit") < 1:
         raise InputError("node_limit must be >= 1, got %d" % node_limit)
     started = time.perf_counter()
     supports, sets = _library_supports(library)
@@ -551,13 +557,13 @@ def search(
     # the running row sum of the combination being built, updated in place
     row = [0] * (_M_COL + 1)
 
-    def candidate(items: Tuple[Tuple[str, int], ...], trow: List[int]) -> None:
+    def candidate(items: Tuple[Tuple[str, int], ...]) -> None:
         nonlocal examined
         examined += 1
-        vec = trow[:_NPARAMS]
-        raw_pattern = {s: trow[pos] for pos, s in _SYMBOL_COLS if trow[pos]}
+        vec = row[:_NPARAMS]
+        raw_pattern = {s: row[pos] for pos, s in _SYMBOL_COLS if row[pos]}
         q, apps = pattern_reductions(raw_pattern)
-        a_total, b_total = trow[_N_COL] - q, trow[_M_COL]
+        a_total, b_total = row[_N_COL] - q, row[_M_COL]
         packings = None
         for g in range(1, g_max + 1):
             key = (a_total * scale // g, b_total * scale // g)
@@ -571,7 +577,7 @@ def search(
                 combination=dict(items),
                 exponents={_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v},
                 constant=prod(index[k].constant ** m for k, m in items),
-                n_exp=trow[_N_COL],
+                n_exp=row[_N_COL],
                 m_exp=b_total,
                 pattern=raw_pattern,
             )
@@ -582,64 +588,52 @@ def search(
                     vec, [sets[idx] for idx in packings[g - 1]]),
             ))
 
-    def t_loop(items, remaining) -> bool:
-        """Enumerate t1/t2/t3 multiplicities that clear all deficits."""
-        nonlocal complete
-        lower = [0, 0, 0]
-        shared = []  # deficits that more than one t-template supplies
-        for pos in _DEFICIT_POS:
-            need = -row[pos]
-            if need > 0:
-                cover = _T_COVER[pos]
-                if len(cover) == 1:
-                    lower[cover[0]] = max(lower[cover[0]], need)
-                else:
-                    shared.append((cover, need))
-        if sum(lower) > remaining:
-            return True
-        for a in range(lower[0], remaining + 1):
-            for b in range(lower[1], remaining - a + 1):
-                for c in range(lower[2], remaining - a - b + 1):
-                    if node_limit is not None and examined >= node_limit:
-                        complete = False
-                        return False
-                    supply = (a, b, c)
-                    if any(sum(supply[i] for i in cover) < need
-                           for cover, need in shared):
-                        continue
-                    titems, trow = items, row[:]
-                    for (key, t_row), mult in zip(_T_ROWS, supply):
-                        if mult:
-                            titems += ((key, mult),)
-                            for pos, v in t_row:
-                                trow[pos] += mult * v
-                    candidate(titems, trow)
-        return True
+    def pick(idx: int, items, remaining: int) -> bool:
+        """Choose the multiplicity of template idx and of every later one.
 
-    def z_loop(idx: int, items, remaining) -> bool:
-        if idx == len(_Z_ROWS) or remaining == 0:
-            return t_loop(items, remaining)
-        if not z_loop(idx + 1, items, remaining):
-            return False
-        key, z_row = _Z_ROWS[idx]
-        for mult in range(1, remaining + 1):
-            for pos, v in z_row:
+        Visits the clearable completions of `items` in lexicographic
+        order of the multiplicity vector; False once the node limit
+        stops the search.
+        """
+        nonlocal complete
+        if idx == len(_ROWS):
+            if examined == node_limit:
+                complete = False
+                return False
+            candidate(items)
+            return True
+        key, tmpl_row = _ROWS[idx]
+        # no later template raises these positions, so this multiplicity
+        # must clear what they lack now
+        mult = 0
+        for pos, step in _CLEARS[idx]:
+            mult = max(mult, -(row[pos] // step))
+        if mult > remaining:
+            return True
+        for pos, v in tmpl_row:
+            row[pos] += mult * v
+        while True:
+            if not pick(idx + 1, items + ((key, mult),) if mult else items,
+                        remaining - mult):
+                return False
+            if mult == remaining:
+                break
+            mult += 1
+            for pos, v in tmpl_row:
                 row[pos] += v
             # Each later template adds at most _STEP to an exponent, so one
-            # below -(remaining - mult) * _STEP stays negative and t_loop
-            # would reject every leaf below.  Another copy of this row
-            # raises an exponent by at most the _STEP the floor rises, so
-            # every larger multiplicity is dead too.
+            # below -(remaining - mult) * _STEP cannot be cleared and no
+            # leaf lies below.  Another copy of this row raises an exponent
+            # by at most the _STEP the floor rises, so every larger
+            # multiplicity is dead too.
             floor = (mult - remaining) * _STEP
             if any(row[pos] < floor for pos in _DEFICIT_POS):
                 break
-            if not z_loop(idx + 1, items + ((key, mult),), remaining - mult):
-                return False
-        for pos, v in z_row:
+        for pos, v in tmpl_row:
             row[pos] -= mult * v
         return True
 
-    z_loop(0, (), budget)
+    pick(0, (), budget)
     return SearchResult(
         frontier=frontier.sorted(),
         examined=examined,

@@ -461,6 +461,63 @@ def test_node_limit_marks_partial():
             search(4, node_limit=bad)
 
 
+def test_search_examines_exactly_the_clearable_combinations():
+    # every multiset of templates through combine(), which shares no code
+    # with the search's row recursion; the search also visits the empty one
+    keys = [t.key for t in build_inequalities()]
+    clearable = 0
+    for budget in range(1, 7):
+        for multiset in combinations_with_replacement(keys, budget):
+            combo = {}
+            for key in multiset:
+                combo[key] = combo.get(key, 0) + 1
+            try:
+                combine(combo)
+            except UnclearedDenominatorError:
+                continue
+            clearable += 1
+        assert search(budget).examined == clearable + 1
+
+
+def test_node_limit_contract():
+    # the search's least multiplicities clear a deficit at the last
+    # template touching it, so that template must raise it
+    net = [{p: t.lhs.get(p, 0) - t.rhs.get(p, 0) for p in P.PARAM_ORDER}
+           for t in build_inequalities()]
+    for p in P.PARAM_ORDER:
+        if any(row[p] < 0 for row in net):
+            assert [row[p] for row in net if row[p]][-1] > 0, p
+    for budget in (3, 5, 7, 8):
+        total = search(budget).examined
+        for limit in (1, 2, 3, 5, 10, total // 3, total // 2, total - 1,
+                      total, total + 1):
+            result = search(budget, node_limit=limit)
+            assert result.examined == min(limit, total)
+            assert result.complete == (limit >= total)
+
+
+def test_counts_exponents_and_sizes_must_be_integers():
+    lhs = {"x23": 1, "z23": 1, "z234": 1}
+    for bad in (1.5, True, -1):
+        with pytest.raises(InputError):
+            pattern_reductions({"n1": bad, "n2": 1, "d12": 1})
+        with pytest.raises(InputError):
+            partition(dict(lhs, x23=bad), 1)
+        with pytest.raises(InputError):
+            max_feasible_g(dict(lhs, x23=bad), 3)
+        with pytest.raises(InputError):
+            normalize_combination({"t1": bad})
+    for bad in (2.5, True):
+        with pytest.raises(InputError):
+            partition(lhs, bad)
+        with pytest.raises(InputError):
+            max_feasible_g(lhs, bad)
+        for kwargs in ({"budget": bad}, {"budget": 2, "g_max": bad},
+                       {"budget": 2, "node_limit": bad}):
+            with pytest.raises(InputError):
+                search(**kwargs)
+
+
 def test_search_rejects_bad_library():
     with pytest.raises(InputError):
         search(4, library=[frozenset({"x12"})])
