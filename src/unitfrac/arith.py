@@ -5,8 +5,11 @@ is used anywhere in this module.
 
 Factorization is plain trial division by 2 and then by odd numbers, which
 is entirely adequate for desk-scale inputs: the enumeration's two-term
-tail factors its denominator q and builds the divisors of q^2 from the
-result.
+tail factors its denominator q and reads tau(q^2) off the result.  When
+the candidates d = -q (mod p) up to q number at most tau(q^2), the tail
+scans them for divisors of q^2; otherwise it builds the divisors of q^2
+up to q from the factorization.  The scan is bounded by tau(q^2) so that
+it is never asymptotically worse than the build.
 """
 
 from __future__ import annotations

@@ -7,10 +7,13 @@ next denominator a satisfies
 
     max(previous, floor(q/p) + 1)  <=  a  <=  floor(j*q/p),
 
-and the final two denominators are read off from the divisors of q^2 via
-(p*a - q)(p*b - q) = q^2 instead of a scan.  The divisors up to q are
-built from the factorization of q, and only those giving an integral
-a >= previous are kept.  An independent oracle for equivalence testing
+and the final two denominators are read off from the divisors d of q^2
+via (p*a - q)(p*b - q) = q^2.  The d <= q that give an integral
+a >= previous form a progression of step p.  When it has at most tau(q^2)
+terms (tau counts divisors), it is scanned for divisors of q^2;
+otherwise the divisors up to q are built from the factorization of q and
+filtered.  Both cost O(tau(q^2)), so the scan is never asymptotically
+worse than the build.  An independent oracle for equivalence testing
 (enumerate_naive, or divisor_tail=False) scans every a instead and never
 reduces the remainder.
 
@@ -69,18 +72,39 @@ def _check_query(m: int, n: int, k: int) -> Tuple[int, int]:
         raise InputError("k must be between 0 and %d, got %r" % (MAX_TERMS, k))
     if m < 1:
         raise InputError("numerator must be >= 1, got %r" % (m,))
+    if n < 1:
+        raise InputError("denominator must be >= 1, got %r" % (n,))
     return reduce_fraction(m, n)
 
 
 def _tail_divisors(prev: int, p: int, q: int) -> List[int]:
     # 1/a + 1/b = p/q, prev <= a <= b, via (p*a - q)(p*b - q) = q^2.
-    # d = p*a - q runs over the divisors of q^2 up to q, built from the
-    # factorization of q; a product d * pr^i is formed only when it stays
-    # <= q, so each power of pr multiplies only the survivors of the one
-    # below it.  Only those with d = -q (mod p) and a >= prev are kept, in
-    # no particular order; each one gives exactly one pair (a, b).
+    # d = p*a - q runs over the divisors of q^2 with d <= q, d = -q (mod p)
+    # and d >= p*prev - q (a >= prev); each one gives exactly one pair
+    # (a, b).  The candidates that meet the last three conditions form a
+    # progression of step p.  When it has at most tau(q^2) terms, it is
+    # scanned for divisors of q^2, in ascending order.  Otherwise the
+    # (tau(q^2) + 1) / 2 divisors up to q are built from the factorization
+    # of q and filtered, in no particular order: a product d * pr^i is
+    # formed only when it stays <= q, so each power of pr multiplies only
+    # the survivors of the one below it.  Either branch takes O(tau(q^2))
+    # steps, so the scan is never asymptotically worse than the build.  A
+    # scan step is one remainder; a built divisor costs a product and a
+    # comparison, then a remainder and a comparison in the filter, so the
+    # two break even near tau(q^2) terms.  In interleaved timings of the
+    # count workload that cut-off beat tau/2 + 1, 2*tau and 3*tau.
+    fac = factorize(q)
+    tau = 1
+    for e in fac.values():
+        tau *= 2 * e + 1
+    lo = max(p * prev - q, 1)
+    r = -q % p
+    first = lo + (r - lo) % p
+    if (q - first) // p < tau:
+        qq = q * q
+        return [d for d in range(first, q + 1, p) if qq % d == 0]
     divs = [1]
-    for pr, e in factorize(q).items():
+    for pr, e in fac.items():
         lim = q // pr
         grown = divs
         for _ in range(2 * e):
@@ -88,8 +112,6 @@ def _tail_divisors(prev: int, p: int, q: int) -> List[int]:
             if not grown:
                 break
             divs += grown
-    lo = p * prev - q
-    r = -q % p
     return [d for d in divs if d % p == r and d >= lo]
 
 

@@ -6,11 +6,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unitfrac.enumeration import (
     MAX_TERMS,
+    _tail_divisors,
     count_representations,
     enumerate_naive,
     enumerate_representations,
@@ -97,6 +98,35 @@ def test_count_matches_stream(query):
         1 for _ in iter_raw_solutions(m, n, k))
 
 
+def _tail_oracle(prev, p, q):
+    return [d for d in range(1, q + 1)
+            if q * q % d == 0 and d % p == -q % p and d >= p * prev - q]
+
+
+@settings(deadline=None)
+@given(st.integers(1, 400).flatmap(
+           lambda q: st.tuples(st.integers(1, 2 * q + 3), st.just(q))
+       ).flatmap(
+           lambda pq: st.tuples(st.integers(1, 3 * pq[1] // pq[0] + 2),
+                                st.just(pq[0]), st.just(pq[1]))))
+@example((1, 1, 1))
+@example((1, 3, 1))  # p > q
+@example((5, 2, 3))  # p*prev - q > q: no admissible d
+# q = 60: tau(3600) = 45.  With p = 1 the candidates are max(prev - 60, 1)
+# ..60, so prev = 75, 76 and 77 give 46, 45 and 44 terms: one past the
+# scan's limit (the divisor build), at it and one inside it.  q = 397 is
+# prime (tau = 3): p = 2 builds, p = 199 scans.
+@example((75, 1, 60))
+@example((76, 1, 60))
+@example((77, 1, 60))
+@example((1, 2, 397))
+@example((1, 199, 397))
+def test_tail_divisors_match_oracle(query):
+    prev, p, q = query
+    assume(gcd(p, q) == 1)
+    assert sorted(_tail_divisors(prev, p, q)) == _tail_oracle(prev, p, q)
+
+
 def test_non_reduced_input_equals_reduced():
     assert count_representations(2, 4, 4) == count_representations(1, 2, 4)
     left = [tuple(s) for s in enumerate_representations(6, 9, 3).solutions]
@@ -137,6 +167,8 @@ def test_input_validation():
         enumerate_representations(0, 1, 3)
     with pytest.raises(ValueError):
         enumerate_representations(1, 0, 3)
+    with pytest.raises(InputError):
+        count_representations(1, 0, 3)
     with pytest.raises(InputError):
         count_representations(1, 1, -1)
     with pytest.raises(InputError):
