@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm, prod
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -175,6 +177,7 @@ def _first_packings(
     supports: Sequence[Tuple[int, ...]],
     vec: Sequence[int],
     limit: int,
+    covers: Sequence[Tuple[int, ...]] = (),
 ) -> List[Tuple[int, ...]]:
     """Entry k-1 is the first packing of k sets under `vec`, for k <= limit.
 
@@ -184,6 +187,11 @@ def _first_packings(
     first one it reaches at depth k is the canonical k-set packing.
     Feasibility is monotone (drop a set), so the list is as long as the
     largest packing, clipped at `limit`.
+
+    Each of `covers` is a position set that every support meets, so no
+    more sets fit than the capacity left on it.  A branch that cannot
+    reach a depth no earlier branch reached holds no first arrival, and
+    the scan skips it.
     """
     vec = list(vec)
     chosen: List[int] = []
@@ -194,6 +202,10 @@ def _first_packings(
         depth = len(chosen)
         if depth > len(firsts):
             firsts.append(tuple(chosen))
+        elif covers and depth < len(firsts):
+            room = min(sum(vec[pos] for pos in cover) for cover in covers)
+            if depth + room <= len(firsts):
+                return False
         if depth >= limit:
             return True
         for idx in range(start, len(supports)):
@@ -228,6 +240,15 @@ _PATTERN_INSTANCES: Tuple[Tuple[str, ...], ...] = tuple(
 # each instance with the positions of its symbols; its d-symbol comes last
 _INSTANCE_POS = tuple((inst, tuple(_SYMBOL_POS[s] for s in inst))
                       for inst in _PATTERN_INSTANCES)
+# the n-symbols come first, then the d-symbols
+_FIRST_D = _SYMBOL_POS[P.D_SYMBOLS[0]]
+# Every instance meets a pair {n_i, n_j}, except the pair instance on the
+# other two indices, which holds its own d-symbol.  So each pair with that
+# d-symbol is a set every instance meets.
+_PATTERN_COVERS = tuple(
+    (_SYMBOL_POS["n%d" % i], _SYMBOL_POS["n%d" % j],
+     _SYMBOL_POS[P.d_name(set(P.INDICES) - {i, j})])
+    for i, j in combinations(P.INDICES, 2))
 
 
 def pattern_reductions(
@@ -248,10 +269,13 @@ def pattern_reductions(
         _count(c, s)
     counts = [pattern.get(s, 0) for s in _SYMBOL_ORDER]
     # no other instance holds an instance's d-symbol, so one without it
-    # can never apply, and no matching outnumbers the live d-symbols
+    # can never apply; each instance takes one d-symbol and at least two
+    # n-symbols, which bounds the count of any matching
     live = [ip for ip in _INSTANCE_POS if counts[ip[1][-1]] >= 1]
     firsts = _first_packings([pos for _, pos in live], counts,
-                             sum(counts[pos[-1]] for _, pos in live))
+                             min(sum(counts[_FIRST_D:]),
+                                 sum(counts[:_FIRST_D]) // 2),
+                             _PATTERN_COVERS)
     apps = tuple(live[idx][0] for idx in firsts[-1]) if firsts else ()
     return len(apps), apps
 
@@ -437,6 +461,8 @@ def format_combination(combination: Combination) -> str:
 class SearchResult:
     frontier: Tuple[DerivedBound, ...]
     examined: int
+    # examined combinations decided without pattern_reductions
+    skipped: int
     complete: bool
     elapsed: float
 
@@ -446,19 +472,25 @@ class _Frontier:
 
     With L = lcm(1..g_max) every key is exact, so keys order and tie
     exactly as the scores (A/g, B/g) do, in integer arithmetic.  The
-    points form an antichain, so no two share an A-key.
+    points form an antichain, so sorted by A-key their B-keys strictly
+    increase: a staircase, kept as two aligned key lists.
     """
 
     def __init__(self) -> None:
         self.points: Dict[Tuple[int, int], DerivedBound] = {}
+        self._a: List[int] = []
+        self._b: List[int] = []
 
     def covered(self, key: Tuple[int, int]) -> bool:
-        """Another point has A/g no larger and B/g no smaller."""
+        """Another point has A/g no larger and B/g no smaller.
+
+        Of the points with A-key <= a, the last has the largest B-key, so
+        it alone decides.  The key itself does not cover it: a tie is
+        left to `insert`.
+        """
         a, b = key
-        for pa, pb in self.points:
-            if pa <= a and pb >= b and (pa < a or pb > b):
-                return True
-        return False
+        i = bisect_right(self._a, a) - 1
+        return i >= 0 and self._b[i] >= b and (self._a[i] < a or self._b[i] > b)
 
     def insert(self, key: Tuple[int, int], bound: DerivedBound) -> None:
         """Add an uncovered point; a tie keeps the combination sorting first."""
@@ -471,6 +503,9 @@ class _Frontier:
         self.points = {k: p for k, p in self.points.items()
                        if not (a <= k[0] and b >= k[1])}
         self.points[key] = bound
+        keys = sorted(self.points)
+        self._a = [k[0] for k in keys]
+        self._b = [k[1] for k in keys]
 
     def sorted(self) -> Tuple[DerivedBound, ...]:
         return tuple(self.points[k] for k in sorted(self.points))
@@ -478,21 +513,25 @@ class _Frontier:
 
 # One integer row per template, in TEMPLATE_ORDER: the parameter exponents
 # (lhs minus rhs), the pattern-symbol counts, then the exponents of n and
-# of 1/m.  Adding rows multiplies templates, so a row sum is the combined
+# of 1/m, then the total count of the d-symbols and of the n-symbols.
+# Adding rows multiplies templates, so a row sum is the combined
 # inequality before its pattern is simplified.  A row is stored sparse, as
 # its nonzero (position, value) pairs in position order.
 _N_COL = _NPARAMS + len(_SYMBOL_ORDER)
 _M_COL = _N_COL + 1
+_DSUM_COL = _M_COL + 1
+_NSUM_COL = _DSUM_COL + 1
 
 
 def _template_row(tmpl: InequalityTemplate) -> Tuple[Tuple[int, int], ...]:
-    row = [0] * (_M_COL + 1)
+    row = [0] * (_NSUM_COL + 1)
     for p, e in tmpl.lhs.items():
         row[_PARAM_POS[p]] += e
     for p, e in tmpl.rhs.items():
         row[_PARAM_POS[p]] -= e
     for s, e in tmpl.pattern.items():
         row[_NPARAMS + _SYMBOL_POS[s]] += e
+        row[_NSUM_COL if _SYMBOL_POS[s] < _FIRST_D else _DSUM_COL] += e
     row[_N_COL] = tmpl.n_exp
     row[_M_COL] = -tmpl.m_exp
     return tuple((pos, v) for pos, v in enumerate(row) if v)
@@ -537,6 +576,9 @@ def search(
     combinations scored, the empty one included.  `node_limit`, if
     given, caps that count; `complete` is False exactly when a clearable
     combination was left unexamined, and the frontier is then partial.
+    `skipped` counts the examined combinations whose every point was
+    already covered at the smallest A their pattern allows, so that
+    `pattern_reductions` never ran on them.
     """
     if _integer(budget, "budget") < 1:
         raise InputError("budget must be >= 1, got %d" % budget)
@@ -551,23 +593,39 @@ def search(
     # every part of a packing takes an occurrence, so no larger g fits
     g_max = min(g_max, budget * _MOST_ADDED)
     scale = lcm(*range(1, g_max + 1))
+    # (g, L/g): the key of (A/g, B/g) is (A*L/g, B*L/g), exact and
+    # increasing in A
+    steps = tuple((g, scale // g) for g in range(1, g_max + 1))
+    covered = frontier.covered
     examined = 0
+    skipped = 0
     complete = True
 
     # the running row sum of the combination being built, updated in place
-    row = [0] * (_M_COL + 1)
+    row = [0] * (_NSUM_COL + 1)
 
     def candidate(items: Tuple[Tuple[str, int], ...]) -> None:
-        nonlocal examined
+        nonlocal examined, skipped
         examined += 1
+        b_total = row[_M_COL]
+        # Each reduction takes one d-symbol and at least two n-symbols, so
+        # A is at least a_opt.  Covering is monotone in A at a fixed B, so
+        # if every key at a_opt is covered, every true key is too.
+        a_opt = row[_N_COL] - min(row[_DSUM_COL], row[_NSUM_COL] // 2)
+        for _, step in steps:
+            if not covered((a_opt * step, b_total * step)):
+                break
+        else:
+            skipped += 1
+            return
         vec = row[:_NPARAMS]
         raw_pattern = {s: row[pos] for pos, s in _SYMBOL_COLS if row[pos]}
         q, apps = pattern_reductions(raw_pattern)
-        a_total, b_total = row[_N_COL] - q, row[_M_COL]
+        a_total = row[_N_COL] - q
         packings = None
-        for g in range(1, g_max + 1):
-            key = (a_total * scale // g, b_total * scale // g)
-            if frontier.covered(key):
+        for g, step in steps:
+            key = (a_total * step, b_total * step)
+            if covered(key):
                 continue
             if packings is None:
                 packings = _first_packings(supports, vec, g_max)
@@ -637,6 +695,7 @@ def search(
     return SearchResult(
         frontier=frontier.sorted(),
         examined=examined,
+        skipped=skipped,
         complete=complete,
         elapsed=time.perf_counter() - started,
     )

@@ -7,13 +7,17 @@ import json
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitfrac import boundsearch
 from unitfrac import params as P
 from unitfrac.boundsearch import (
+    TEMPLATE_ORDER,
+    _Frontier,
     combination_sort_key,
     combine,
     default_library,
@@ -150,6 +154,24 @@ def _first_matching(pattern):
 def test_pattern_reductions_matches_exhaustive_matcher(pattern):
     # equal applications, order included: witnesses store them
     assert pattern_reductions(pattern) == _first_matching(pattern)
+
+
+ALL_K_SYMBOLS = ("n1", "n2", "n3", "n4", "d12", "d13", "d23", "d123", "d14",
+                 "d234", "d24")
+
+
+def test_pattern_reductions_prunes_short_branches():
+    # With every symbol at count k the largest matching is 2k, and it uses
+    # no d12: the scan must leave the many d12 branches without exhausting
+    # them, yet return the first matching an exhaustive scan finds.
+    for k in range(1, 9):
+        pattern = dict.fromkeys(ALL_K_SYMBOLS, k)
+        assert pattern_reductions(pattern) == _first_matching(pattern)
+    start = time.perf_counter()
+    count, apps = pattern_reductions(dict.fromkeys(ALL_K_SYMBOLS, 32))
+    assert time.perf_counter() - start < 2.0
+    assert count == 64
+    assert apps == ((("n1", "n3", "d13"),) * 32 + (("n2", "n4", "d24"),) * 32)
 
 
 def test_default_library():
@@ -330,10 +352,12 @@ def _packing_number(exps, library, g_max):
     return best
 
 
-def test_search_frontier_is_complete_at_budget_six():
-    # every multiset of templates, multiplied out by hand, scored at every
-    # packable g, then the Pareto set by pairwise comparison
-    budget, g_max = 6, 6
+def _pareto_by_hand(budget, g_max):
+    """(clearable combinations, Pareto set of their scores), by hand.
+
+    Every multiset of templates is multiplied out by hand and scored at
+    every packable g; the Pareto set comes from pairwise comparison.
+    """
     library = default_library()
     instances = [tuple("n%d" % i for i in J) + ("d" + "".join(map(str, J)),)
                  for r in (2, 3) for J in combinations(P.INDICES, r)]
@@ -362,9 +386,22 @@ def test_search_frontier_is_complete_at_budget_six():
     pareto = {p for p in points
               if not any(q != p and q[0] <= p[0] and q[1] >= p[1]
                          for q in points)}
-    result = search(budget, g_max=g_max)
+    return clearable, pareto
+
+
+def test_search_frontier_is_complete_at_budget_six():
+    clearable, pareto = _pareto_by_hand(6, 6)
+    result = search(6, g_max=6)
     assert clearable + 1 == result.examined  # search also visits the empty one
     assert {b.score for b in result.frontier} == pareto
+
+
+@pytest.mark.parametrize("g_max", [1, 2, 3, 4, 5])
+def test_search_frontier_is_complete_for_smaller_g_max(g_max):
+    # the pre-check skips a candidate only when its keys at every g up to
+    # g_max are covered, so each g_max exercises it on other keys
+    _, pareto = _pareto_by_hand(6, g_max)
+    assert {b.score for b in search(6, g_max=g_max).frontier} == pareto
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +421,63 @@ def test_search_output_is_pinned(budget_nine):
     assert not search(9, node_limit=14311).complete
     at_limit = search(9, node_limit=14312)
     assert at_limit.complete and at_limit.examined == 14312
+
+
+def test_search_budget_ten_is_pinned():
+    # a budget where the optimistic pre-check decides most candidates
+    result = search(10)
+    assert result.complete and result.examined == 29136
+    assert len(result.frontier) == 34
+    text = "".join(witness_to_json(b) + "\n" for b in result.frontier)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0bd5211a1cb0c404c8cefcdbf3031b9b2a255a27a836bab2bdda44a08c3c0d25")
+
+
+def test_search_skips_pattern_reductions_for_covered_candidates(monkeypatch):
+    calls = []
+    real = boundsearch.pattern_reductions
+
+    def counting(pattern):
+        calls.append(pattern)
+        return real(pattern)
+
+    monkeypatch.setattr(boundsearch, "pattern_reductions", counting)
+    result = search(9)
+    assert result.examined == 14312
+    assert result.skipped > 0
+    assert len(calls) == result.examined - result.skipped
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(
+    st.integers(0, 5), st.integers(0, 5),
+    st.dictionaries(st.sampled_from(TEMPLATE_ORDER[:3]), st.integers(1, 2),
+                    min_size=1)), max_size=25))
+def test_frontier_staircase_matches_pairwise_rule(steps):
+    # the search inserts exactly the keys that are not covered; keys tie
+    # often on this small grid, with different combinations
+    frontier = _Frontier()
+    reference = []  # (key, combination) pairs
+    grid = [(a, b) for a in range(-1, 7) for b in range(-1, 7)]
+    for a, b, combo in steps:
+        for key in grid:
+            pairwise = any(pa <= key[0] and pb >= key[1] and (pa, pb) != key
+                           for (pa, pb), _ in reference)
+            assert frontier.covered(key) == pairwise, key
+        if frontier.covered((a, b)):
+            continue
+        frontier.insert((a, b), SimpleNamespace(combination=combo))
+        tie = [entry for entry in reference if entry[0] == (a, b)]
+        if tie and (combination_sort_key(tie[0][1])
+                    <= combination_sort_key(combo)):
+            continue
+        reference = [entry for entry in reference
+                     if not (a <= entry[0][0] and b >= entry[0][1])]
+        reference.append(((a, b), combo))
+    assert ([bound.combination for bound in frontier.sorted()]
+            == [combo for _, combo in sorted(reference,
+                                              key=lambda e: e[0])])
+    assert sorted(frontier.points) == sorted(key for key, _ in reference)
 
 
 def test_witness_roundtrip_and_tamper_detection(budget_nine):
