@@ -6,159 +6,58 @@ and inequality templates over the decomposition parameters, fixpoint
 closure and minimal defining sets, a Pareto search for multiplicative
 bounds with replayable witnesses, soundness sweeps, asymptotic regime
 analysis, and a certified enclosure of the Sylvester-sequence constant.
+
+Each exported name is imported from its submodule on first use (PEP 562),
+so a caller pays only for the modules it touches.
 """
 
 from __future__ import annotations
 
-from .asymptotics import (
-    FORMULAS,
-    BoundFormula,
-    BoundReport,
-    FkBound,
-    LiftRow,
-    Regime,
-    SylvesterState,
-    bound_report,
-    breakpoint_alphas,
-    breakpoints,
-    fk_bound,
-    fk_exponent,
-    lift_report,
-    regime,
-    regime_table,
-    sylvester,
-)
-from .boundsearch import (
-    DerivedBound,
-    MonomialInequality,
-    Partition,
-    SearchResult,
-    combine,
-    default_library,
-    max_feasible_g,
-    partition,
-    pattern_reductions,
-    replay_witness,
-    search,
-    witness_to_json,
-)
-from .catalog import (
-    FAMILY_NAMES,
-    ClosureRule,
-    InequalityTemplate,
-    Term,
-    build_inequalities,
-    build_rules,
-    export_rules,
-    family_counts,
-    inequality_index,
-    rule_index,
-)
-from .closure import (
-    CORE_DEFINING_SETS,
-    closure,
-    closure_report,
-    is_defining,
-    minimal_defining_sets,
-    sort_sets,
-)
-from .decomposition import (
-    Decomposition,
-    VerificationReport,
-    decompose,
-    pattern_of,
-    reconstruct,
-    relative_gcds,
-    verify,
-)
-from .enumeration import (
-    MAX_TERMS,
-    EnumerationResult,
-    SolutionTuple,
-    count_representations,
-    enumerate_naive,
-    enumerate_representations,
-)
-from .errors import (
-    InputError,
-    IntegralityError,
-    InvariantError,
-    UnclearedDenominatorError,
-    UnitfracError,
-)
-from .params import CONVENTIONS, PARAM_ORDER, X_PARAMS, Z_PARAMS
-from .sweep import SweepFailure, SweepReport, sweep_soundness
+from importlib import import_module
+
+# `closure` is both an exported function and a submodule.  Only the first
+# import of the submodule binds the package attribute to the module, so
+# binding the function right after it wins in every import order
+# (boundsearch imports the submodule too).
+from .closure import closure
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundFormula",
-    "BoundReport",
-    "CONVENTIONS",
-    "CORE_DEFINING_SETS",
-    "ClosureRule",
-    "Decomposition",
-    "DerivedBound",
-    "EnumerationResult",
-    "FAMILY_NAMES",
-    "FORMULAS",
-    "FkBound",
-    "InequalityTemplate",
-    "InputError",
-    "IntegralityError",
-    "InvariantError",
-    "LiftRow",
-    "MAX_TERMS",
-    "MonomialInequality",
-    "PARAM_ORDER",
-    "Partition",
-    "Regime",
-    "SearchResult",
-    "SolutionTuple",
-    "SweepFailure",
-    "SweepReport",
-    "SylvesterState",
-    "Term",
-    "UnclearedDenominatorError",
-    "UnitfracError",
-    "VerificationReport",
-    "X_PARAMS",
-    "Z_PARAMS",
-    "bound_report",
-    "breakpoint_alphas",
-    "breakpoints",
-    "build_inequalities",
-    "build_rules",
-    "closure",
-    "closure_report",
-    "combine",
-    "count_representations",
-    "decompose",
-    "default_library",
-    "enumerate_naive",
-    "enumerate_representations",
-    "export_rules",
-    "family_counts",
-    "fk_bound",
-    "fk_exponent",
-    "inequality_index",
-    "is_defining",
-    "lift_report",
-    "max_feasible_g",
-    "minimal_defining_sets",
-    "partition",
-    "pattern_of",
-    "pattern_reductions",
-    "reconstruct",
-    "regime",
-    "regime_table",
-    "relative_gcds",
-    "replay_witness",
-    "rule_index",
-    "search",
-    "sort_sets",
-    "sweep_soundness",
-    "sylvester",
-    "verify",
-    "witness_to_json",
-]
+_EXPORTS = {
+    "asymptotics": """FORMULAS BoundFormula BoundReport FkBound LiftRow Regime
+        SylvesterState bound_report breakpoint_alphas breakpoints fk_bound
+        fk_exponent lift_report regime regime_table sylvester""",
+    "boundsearch": """DerivedBound MonomialInequality Partition SearchResult
+        combine default_library max_feasible_g partition pattern_reductions
+        replay_witness search witness_to_json""",
+    "catalog": """FAMILY_NAMES ClosureRule InequalityTemplate Term
+        build_inequalities build_rules export_rules family_counts
+        inequality_index rule_index""",
+    "closure": """CORE_DEFINING_SETS closure closure_report is_defining
+        minimal_defining_sets sort_sets""",
+    "decomposition": """Decomposition VerificationReport decompose pattern_of
+        reconstruct relative_gcds verify""",
+    "enumeration": """MAX_TERMS EnumerationResult SolutionTuple
+        count_representations enumerate_naive enumerate_representations""",
+    "errors": """InputError IntegralityError InvariantError
+        UnclearedDenominatorError UnitfracError""",
+    "params": "CONVENTIONS PARAM_ORDER X_PARAMS Z_PARAMS",
+    "sweep": "SweepFailure SweepReport sweep_soundness",
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names.split()}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -36,7 +36,7 @@ from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
 from . import params as P
 from .catalog import InequalityTemplate, build_inequalities, inequality_index
 from .closure import CORE_DEFINING_SETS, is_defining, minimal_defining_sets, sort_sets
-from .errors import InputError, UnclearedDenominatorError
+from .errors import InputError, UnclearedDenominatorError, check_integer
 
 Combination = Mapping[str, int]
 
@@ -52,16 +52,9 @@ _SYMBOL_ORDER: Tuple[str, ...] = P.PATTERN_SYMBOLS
 _SYMBOL_POS = {s: i for i, s in enumerate(_SYMBOL_ORDER)}
 
 
-def _integer(value, name: str) -> int:
-    """`value` if it is an int and not a bool, else InputError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError("%s must be an integer, got %r" % (name, value))
-    return value
-
-
 def _count(value, name: str) -> int:
     """`value` if it is an int >= 0 and not a bool, else InputError."""
-    if _integer(value, name) < 0:
+    if check_integer(value, name) < 0:
         raise InputError("%s must be an integer >= 0, got %r" % (name, value))
     return value
 
@@ -374,7 +367,7 @@ def partition(
     the first part.  The bases are the lexicographically first such
     sequence in canonical library order; None when infeasible.
     """
-    if _integer(g, "g") < 1:
+    if check_integer(g, "g") < 1:
         raise InputError("g must be >= 1, got %d" % g)
     supports, sets = _library_supports(library)
     vec = _exponent_vector(lhs)
@@ -390,7 +383,7 @@ def max_feasible_g(
     library: Optional[Sequence[FrozenSet[str]]] = None,
 ) -> int:
     """Largest g <= g_max for which partition(lhs, g) succeeds (0 if none)."""
-    if _integer(g_max, "g_max") < 1:
+    if check_integer(g_max, "g_max") < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
     supports, _ = _library_supports(library)
     return len(_first_packings(supports, _exponent_vector(lhs), g_max))
@@ -580,11 +573,11 @@ def search(
     already covered at the smallest A their pattern allows, so that
     `pattern_reductions` never ran on them.
     """
-    if _integer(budget, "budget") < 1:
+    if check_integer(budget, "budget") < 1:
         raise InputError("budget must be >= 1, got %d" % budget)
-    if _integer(g_max, "g_max") < 1:
+    if check_integer(g_max, "g_max") < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
-    if node_limit is not None and _integer(node_limit, "node_limit") < 1:
+    if node_limit is not None and check_integer(node_limit, "node_limit") < 1:
         raise InputError("node_limit must be >= 1, got %d" % node_limit)
     started = time.perf_counter()
     supports, sets = _library_supports(library)
@@ -742,14 +735,16 @@ def replay_witness(doc: Mapping) -> DerivedBound:
                          % type(doc).__name__)
     try:
         combo = normalize_combination(dict(doc["combination"]))
-        raw_pattern = {k: _integer(v, k) for k, v in doc["raw_pattern"].items()}
-        stored_exp = {k: _integer(v, k) for k, v in doc["exponents"].items()}
-        constant, a_total, b_total, g = (
-            _integer(doc[key], key) for key in ("constant", "A", "B", "g"))
+        raw_pattern = {k: check_integer(v, k)
+                       for k, v in doc["raw_pattern"].items()}
+        stored_exp = {k: check_integer(v, k)
+                      for k, v in doc["exponents"].items()}
+        constant, a_total, b_total, g = (check_integer(doc[key], key)
+                                         for key in ("constant", "A", "B", "g"))
         bases = tuple(frozenset(b) for b in doc["partition"]["bases"])
         for base in bases:
             P.params_to_mask(base)  # ValueError on an unknown name
-        stored_leftover = {k: _integer(v, k)
+        stored_leftover = {k: check_integer(v, k)
                            for k, v in doc["partition"]["leftover"].items()}
         stored_apps = doc["reductions"]
         if not (isinstance(stored_apps, list)

@@ -19,15 +19,8 @@ import sys
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence
 
-from . import asymptotics as asym
-from . import boundsearch as bs
-from . import catalog as cat
 from . import params as P
-from .closure import closure_report, minimal_defining_sets
-from .decomposition import decompose
-from .enumeration import count_representations, enumerate_representations
 from .errors import InputError, IntegralityError, InvariantError
-from .sweep import sweep_soundness
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems as InputError (exit 1)."""
@@ -80,10 +73,12 @@ def _parse_width(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; each imports the modules it calls, so a command
+# loads only what it uses
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_representations
     result = enumerate_representations(args.m, args.n, args.k, cap=args.cap)
     for sol in result.solutions:
         if args.json:
@@ -97,11 +92,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .enumeration import count_representations
     print(count_representations(args.m, args.n, args.k))
     return 0
 
 
 def _cmd_decompose(args) -> int:
+    from .decomposition import decompose
     if args.n < 1:
         raise InputError("n must be positive, got %d" % args.n)
     values = _parse_solution(args.solution)
@@ -136,6 +133,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog as cat
     rules = cat.build_rules(args.z_convention)
     if args.export:
         with open(args.export, "w", encoding="utf-8") as handle:
@@ -161,12 +159,14 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .closure import closure_report
     names = _parse_param_set(args.set)
     print(_json_line(closure_report(names, convention=args.z_convention)))
     return 0
 
 
 def _cmd_defining_sets(args) -> int:
+    from .closure import closure_report, minimal_defining_sets
     if args.max_size < 1:
         raise InputError("--max-size must be >= 1")
     for s in minimal_defining_sets(args.max_size, convention=args.z_convention):
@@ -175,6 +175,7 @@ def _cmd_defining_sets(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import boundsearch as bs
     library = _load_library(args.library) if args.library else None
     result = bs.search(args.budget, g_max=args.gmax, library=library,
                        node_limit=args.node_limit)
@@ -196,6 +197,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import boundsearch as bs
     count = 0
     with open(args.witness, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -215,6 +217,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import asymptotics as asym
     report = asym.bound_report(args.m, args.n)
     if args.json:
         print(_json_line({
@@ -238,6 +241,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_regimes(args) -> int:
+    from . import asymptotics as asym
     table = asym.regime_table()
     scale = asym.alpha_scale()
     if args.json:
@@ -271,6 +275,7 @@ def _format_width(width: Fraction) -> str:
 
 
 def _cmd_sylvester(args) -> int:
+    from . import asymptotics as asym
     state = asym.sylvester(_parse_width(args.width))
     lo, hi = state.bracket
     digits = 0
@@ -302,6 +307,7 @@ def _cmd_sylvester(args) -> int:
 
 
 def _cmd_lift_report(args) -> int:
+    from . import asymptotics as asym
     rows = asym.lift_report(args.nmax)
     if args.json:
         for row in rows:
@@ -316,6 +322,7 @@ def _cmd_lift_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import sweep_soundness
     def progress(n: int, report) -> None:
         print("n=%d: %d solutions, %d failures, %d skipped"
               % (n, report.solutions, len(report.failures), report.skipped),

@@ -36,3 +36,10 @@ class InvariantError(UnitfracError, RuntimeError):
 
 class UnclearedDenominatorError(InputError, ArithmeticError):
     """Combining inequalities left a fractional coefficient uncleared."""
+
+
+def check_integer(value, name: str) -> int:
+    """`value` if it is an int and not a bool, else InputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError("%s must be an integer, got %r" % (name, value))
+    return value

@@ -175,3 +175,14 @@ def test_input_validation():
         enumerate_representations(3, 7, 6, cap=-1)
     with pytest.raises(InputError):
         enumerate_naive(3, 7, 6, cap=-1)
+
+
+def test_non_integer_arguments_are_input_errors():
+    for bad in (4.0, 2.5, True, False):
+        for call in (count_representations, enumerate_representations,
+                     enumerate_naive):
+            for args in ((bad, 7, 3), (3, bad, 3), (3, 7, bad)):
+                with pytest.raises(InputError, match="must be an integer"):
+                    call(*args)
+        with pytest.raises(InputError, match="cap must be an integer"):
+            enumerate_representations(3, 7, 3, cap=bad)

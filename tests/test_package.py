@@ -1,0 +1,102 @@
+"""The package surface and the modules a call loads, each case in a fresh
+interpreter, since an import in this process would leak into the next
+case.  Nothing here is timed."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import unitfrac
+
+SRC = os.path.dirname(os.path.dirname(unitfrac.__file__))
+HEAVY = {"boundsearch", "asymptotics", "decomposition", "sweep"}
+
+
+def fresh(code: str, *argv: str):
+    """Run `code` with `argv` in a new interpreter that imports unitfrac
+    from this tree; return what it prints as JSON on its last line."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+LOADED = """
+import sys
+print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules
+                        if m.startswith("unitfrac."))))
+"""
+RUN_CLI = """
+import json, runpy, sys
+sys.argv = ["unitfrac"] + sys.argv[1:]
+try:
+    runpy.run_module("unitfrac", run_name="__main__")
+except SystemExit:
+    pass
+""" + LOADED
+
+
+def loaded_by(statement: str) -> set:
+    return set(fresh("import json\n" + statement + LOADED))
+
+
+def test_count_loads_no_search_sweep_or_asymptotics():
+    assert not loaded_by("from unitfrac import count_representations") & HEAVY
+    cli = set(fresh(RUN_CLI, "count", "1", "1", "4"))
+    assert "enumeration" in cli
+    assert not cli & HEAVY
+
+
+def test_help_loads_no_enumeration():
+    loaded = set(fresh(RUN_CLI, "--help"))
+    assert "cli" in loaded
+    assert not loaded & (HEAVY | {"enumeration"})
+
+
+def test_sweep_loads_neither_search_nor_asymptotics():
+    loaded = loaded_by("import unitfrac.sweep")
+    assert "decomposition" in loaded
+    assert not loaded & {"boundsearch", "asymptotics"}
+
+
+@pytest.mark.parametrize("first", ["import unitfrac.boundsearch",
+                                   "from unitfrac import search"])
+def test_closure_is_the_function_in_every_import_order(first):
+    kinds = fresh("import json\n" + first + """
+import unitfrac
+from unitfrac import closure
+print(json.dumps([type(unitfrac.closure).__name__, type(closure).__name__]))
+""")
+    assert kinds == ["function", "function"]
+
+
+def test_package_surface():
+    surface = fresh("""
+import json, types
+import unitfrac
+listed = set(dir(unitfrac)) >= set(unitfrac.__all__)
+try:
+    unitfrac.nope
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+from unitfrac import arith
+names = {}
+exec("from unitfrac import *", names)
+print(json.dumps({
+    "listed": listed,
+    "missing": missing,
+    "arith": isinstance(arith, types.ModuleType) and arith.__name__,
+    "star": sorted(set(unitfrac.__all__) - set(names)),
+}))
+""")
+    assert surface["listed"]
+    assert "'nope'" in surface["missing"]
+    assert surface["arith"] == "unitfrac.arith"
+    assert surface["star"] == []

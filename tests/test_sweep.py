@@ -166,6 +166,14 @@ def test_sweep_input_validation():
         sweep_soundness(n_max=5, fail_limit=0)
 
 
+def test_sweep_rejects_non_integer_arguments():
+    for bad in (2.5, 3.0, True):
+        for kwargs in ({"n_max": bad}, {"n_max": 3, "m_factor": bad},
+                       {"n_max": 3, "fail_limit": bad}):
+            with pytest.raises(InputError, match="must be an integer"):
+                sweep_soundness(**kwargs)
+
+
 def test_fail_limit_marks_sweep_incomplete(monkeypatch):
     full = sweep_soundness(n_max=5)
     assert full.complete and "PARTIAL" not in full.summary()
