@@ -433,6 +433,30 @@ def test_search_budget_ten_is_pinned():
         "0bd5211a1cb0c404c8cefcdbf3031b9b2a255a27a836bab2bdda44a08c3c0d25")
 
 
+@pytest.mark.parametrize("limit, skipped, points, digest", [
+    (1000, 336, 28,
+     "7edb561e9023e370e7662e2342f7cf2cc1b7144b013c17aee2bc24b66811c233"),
+    (5000, 2893, 30,
+     "1100089113b950318a5b429788c5ba6889f3d5a2000861c33135f52ff83c8af2"),
+    (12000, 8358, 29,
+     "187d08dfa943802d420af98ef53987736e25fbf154de6aae096ccb650baefa71"),
+])
+def test_partial_search_visits_combinations_in_order(limit, skipped, points,
+                                                     digest):
+    # a node limit cuts the walk at a fixed place in its visiting order,
+    # so the partial frontier and the pre-check's count pin that order
+    result = search(9, node_limit=limit)
+    assert not result.complete and result.examined == limit
+    assert result.skipped == skipped and len(result.frontier) == points
+    text = "".join(witness_to_json(b) + "\n" for b in result.frontier)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_search_skipped_counts_are_pinned(budget_nine):
+    assert budget_nine.skipped == 10128
+    assert search(10).skipped == 22449
+
+
 def test_search_skips_pattern_reductions_for_covered_candidates(monkeypatch):
     calls = []
     real = boundsearch.pattern_reductions
