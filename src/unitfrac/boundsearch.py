@@ -30,13 +30,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
-from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from . import params as P
 from .catalog import InequalityTemplate, build_inequalities, inequality_index
 from .closure import CORE_DEFINING_SETS, is_defining, minimal_defining_sets, sort_sets
-from .errors import InputError, UnclearedDenominatorError, check_integer
+from .errors import (InputError, InvariantError, UnclearedDenominatorError,
+                     check_integer)
 
 Combination = Mapping[str, int]
 
@@ -554,6 +555,82 @@ _CLEARS = tuple(tuple((pos, v) for pos, v in row
 _SYMBOL_COLS = tuple(enumerate(_SYMBOL_ORDER, _NPARAMS))
 
 
+def _add_lines(row, times: Optional[str], sign: int = 1) -> List[str]:
+    """Statements adding sign * `times` copies of a row (one if None)."""
+    return ["c%d %s= %s" % (pos, "+-"[v * sign < 0], abs(v) if times is None
+                            else times if abs(v) == 1
+                            else "%d * %s" % (abs(v), times))
+            for pos, v in row]
+
+
+def walk_source() -> str:
+    """Source of `_walk(budget, node_limit, steps, covered, candidate)`.
+
+    One `while` loop per template row, nested in template order, raises
+    multiplicity k<i> from the least value that clears what no later row
+    raises to the remaining budget r<i>, and stops early once an exponent
+    in the row sum (locals c0, c1, ...) sinks below what the rest of the
+    budget can clear.  Each leaf enforces `node_limit`, counts itself and
+    runs the optimistic pre-check; only an undecided leaf calls
+    `candidate(multiplicities, row)`.  Returns (examined, skipped, complete).
+    """
+    if len(_ROWS) + 1 > 20:  # the rows' loops and the leaf's
+        raise InvariantError("%d template rows need %d nested loops; CPython"
+                             " compiles at most 20"
+                             % (len(_ROWS), len(_ROWS) + 1))
+    cols = ["c%d" % pos for pos in range(_NSUM_COL + 1)]
+    body = [(0, "examined = skipped = 0"), (0, " = ".join(cols) + " = 0"),
+            (0, "r0 = budget")]
+    floor = " or ".join("c%d < _f" % pos for pos in _DEFICIT_POS)
+    tails = []  # per loop: its depth, its last lines, the lines after it
+    depth = 0
+    for i, (_, row) in enumerate(_ROWS):
+        k, r = "k%d" % i, "r%d" % i
+        body.append((depth, "%s = 0" % k))
+        if _CLEARS[i]:  # k<i> must clear what no later row raises
+            for pos, v in _CLEARS[i]:
+                body += [(depth, "_m = -(c%d // %d)" % (pos, v)),
+                         (depth, "if _m > %s: %s = _m" % (k, k))]
+            body.append((depth, "if %s <= %s:" % (k, r)))
+            depth += 1
+            body += [(depth, line) for line in _add_lines(row, k)]
+        body.append((depth, "while True:"))
+        if i + 1 < len(_ROWS):
+            body.append((depth + 1, "r%d = %s - %s" % (i + 1, r, k)))
+        # a later row adds at most _STEP to an exponent, so one under this
+        # floor cannot be cleared, nor with another copy of this row
+        tails.append((depth, ["if %s == %s: break" % (k, r), "%s += 1" % k,
+                              *_add_lines(row, None),
+                              "_f = (%s - %s) * %d" % (k, r, _STEP),
+                              "if %s: break" % floor],
+                      _add_lines(row, k, -1)))
+        depth += 1
+    body += [(depth, line) for line in [
+        "if examined == node_limit:", "    return examined, skipped, False",
+        "examined += 1",
+        "_a = c%d - min(c%d, c%d // 2)" % (_N_COL, _DSUM_COL, _NSUM_COL),
+        "for _, _s in steps:",
+        "    if not covered((_a * _s, c%d * _s)):" % _M_COL,
+        "        candidate((%s,), [%s])" % (
+            ", ".join("k%d" % i for i in range(len(_ROWS))), ", ".join(cols)),
+        "        break",
+        "else:", "    skipped += 1"]]
+    for loop_depth, last, after in reversed(tails):
+        body += [(loop_depth + 1, line) for line in last]
+        body += [(loop_depth, line) for line in after]
+    body.append((0, "return examined, skipped, True"))
+    return ("def _walk(budget, node_limit, steps, covered, candidate):\n"
+            + "".join("    " * (d + 1) + line + "\n" for d, line in body))
+
+
+@lru_cache(maxsize=None)
+def compiled_walk() -> Callable:
+    """Compile `walk_source()` once, on the first search."""
+    namespace: Dict[str, object] = {}
+    exec(compile(walk_source(), "<template walk>", "exec"), namespace)
+    return namespace["_walk"]
+
+
 def search(
     budget: int,
     g_max: int = 6,
@@ -565,13 +642,15 @@ def search(
     For each clearable combination the candidate points (A/g, B/g) for
     every feasible g <= g_max enter a Pareto frontier (A/g minimized
     first, B/g maximized second; ties prefer smaller total multiplicity,
-    then canonical template order).  `examined` counts the clearable
-    combinations scored, the empty one included.  `node_limit`, if
-    given, caps that count; `complete` is False exactly when a clearable
-    combination was left unexamined, and the frontier is then partial.
-    `skipped` counts the examined combinations whose every point was
-    already covered at the smallest A their pattern allows, so that
-    `pattern_reductions` never ran on them.
+    then canonical template order).  The combinations come from the
+    compiled walk (`walk_source`), in lexicographic order of their
+    multiplicity vectors.  `examined` counts the clearable combinations
+    scored, the empty one included.  `node_limit`, if given, caps that
+    count; `complete` is False exactly when a clearable combination was
+    left unexamined, and the frontier is then partial.  `skipped` counts
+    the examined combinations whose every point was already covered at
+    the smallest A their pattern allows, so that `pattern_reductions`
+    never ran on them.
     """
     if check_integer(budget, "budget") < 1:
         raise InputError("budget must be >= 1, got %d" % budget)
@@ -590,27 +669,10 @@ def search(
     # increasing in A
     steps = tuple((g, scale // g) for g in range(1, g_max + 1))
     covered = frontier.covered
-    examined = 0
-    skipped = 0
-    complete = True
 
-    # the running row sum of the combination being built, updated in place
-    row = [0] * (_NSUM_COL + 1)
-
-    def candidate(items: Tuple[Tuple[str, int], ...]) -> None:
-        nonlocal examined, skipped
-        examined += 1
+    def candidate(mults: Tuple[int, ...], row: List[int]) -> None:
+        """Score a combination the walk's pre-check left undecided."""
         b_total = row[_M_COL]
-        # Each reduction takes one d-symbol and at least two n-symbols, so
-        # A is at least a_opt.  Covering is monotone in A at a fixed B, so
-        # if every key at a_opt is covered, every true key is too.
-        a_opt = row[_N_COL] - min(row[_DSUM_COL], row[_NSUM_COL] // 2)
-        for _, step in steps:
-            if not covered((a_opt * step, b_total * step)):
-                break
-        else:
-            skipped += 1
-            return
         vec = row[:_NPARAMS]
         raw_pattern = {s: row[pos] for pos, s in _SYMBOL_COLS if row[pos]}
         q, apps = pattern_reductions(raw_pattern)
@@ -624,10 +686,11 @@ def search(
                 packings = _first_packings(supports, vec, g_max)
             if g > len(packings):
                 return
+            combo = {k: m for k, m in zip(TEMPLATE_ORDER, mults) if m}
             raw = MonomialInequality(
-                combination=dict(items),
+                combination=combo,
                 exponents={_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v},
-                constant=prod(index[k].constant ** m for k, m in items),
+                constant=prod(index[k].constant ** m for k, m in combo.items()),
                 n_exp=row[_N_COL],
                 m_exp=b_total,
                 pattern=raw_pattern,
@@ -639,52 +702,8 @@ def search(
                     vec, [sets[idx] for idx in packings[g - 1]]),
             ))
 
-    def pick(idx: int, items, remaining: int) -> bool:
-        """Choose the multiplicity of template idx and of every later one.
-
-        Visits the clearable completions of `items` in lexicographic
-        order of the multiplicity vector; False once the node limit
-        stops the search.
-        """
-        nonlocal complete
-        if idx == len(_ROWS):
-            if examined == node_limit:
-                complete = False
-                return False
-            candidate(items)
-            return True
-        key, tmpl_row = _ROWS[idx]
-        # no later template raises these positions, so this multiplicity
-        # must clear what they lack now
-        mult = 0
-        for pos, step in _CLEARS[idx]:
-            mult = max(mult, -(row[pos] // step))
-        if mult > remaining:
-            return True
-        for pos, v in tmpl_row:
-            row[pos] += mult * v
-        while True:
-            if not pick(idx + 1, items + ((key, mult),) if mult else items,
-                        remaining - mult):
-                return False
-            if mult == remaining:
-                break
-            mult += 1
-            for pos, v in tmpl_row:
-                row[pos] += v
-            # Each later template adds at most _STEP to an exponent, so one
-            # below -(remaining - mult) * _STEP cannot be cleared and no
-            # leaf lies below.  Another copy of this row raises an exponent
-            # by at most the _STEP the floor rises, so every larger
-            # multiplicity is dead too.
-            floor = (mult - remaining) * _STEP
-            if any(row[pos] < floor for pos in _DEFICIT_POS):
-                break
-        for pos, v in tmpl_row:
-            row[pos] -= mult * v
-        return True
-
-    pick(0, (), budget)
+    examined, skipped, complete = compiled_walk()(
+        budget, node_limit, steps, covered, candidate)
     return SearchResult(
         frontier=frontier.sorted(),
         examined=examined,

@@ -179,6 +179,12 @@ def _cmd_search(args) -> int:
     library = _load_library(args.library) if args.library else None
     result = bs.search(args.budget, g_max=args.gmax, library=library,
                        node_limit=args.node_limit)
+    if args.stats:
+        print(json.dumps({"examined": result.examined,
+                          "skipped": result.skipped,
+                          "complete": result.complete,
+                          "frontier": len(result.frontier),
+                          "elapsed_s": result.elapsed}), file=sys.stderr)
     if args.json:
         for bound in result.frontier:
             print(bs.witness_to_json(bound))
@@ -441,6 +447,9 @@ def build_parser() -> _Parser:
                         " set per line)")
     p.add_argument("--node-limit", type=int, default=None,
                    help="abort after examining this many combinations")
+    p.add_argument("--stats", action="store_true",
+                   help="print the search's counts and time as one JSON"
+                        " line on stderr")
     _add_json(p)
     p.set_defaults(func=_cmd_search)
 

@@ -31,7 +31,8 @@ from unitfrac.boundsearch import (
 )
 from unitfrac.catalog import build_inequalities
 from unitfrac.closure import is_defining
-from unitfrac.errors import InputError, UnclearedDenominatorError
+from unitfrac.errors import (InputError, InvariantError,
+                             UnclearedDenominatorError)
 
 # the two reference combinations rebuilt throughout this module
 COMBO_A = {"z34": 1, "z234": 2, "t1": 3}
@@ -455,6 +456,36 @@ def test_partial_search_visits_combinations_in_order(limit, skipped, points,
 def test_search_skipped_counts_are_pinned(budget_nine):
     assert budget_nine.skipped == 10128
     assert search(10).skipped == 22449
+
+
+def test_walk_source_nests_one_loop_per_row(monkeypatch):
+    source = boundsearch.walk_source()
+    assert source == boundsearch.walk_source()
+    compile(source, "<walk>", "exec")
+    assert boundsearch.compiled_walk() is boundsearch.compiled_walk()
+    loops = [line for line in source.splitlines()
+             if line.lstrip().startswith(("while ", "for "))]
+    indents = [len(line) - len(line.lstrip()) for line in loops]
+    assert indents == sorted(set(indents))  # each inside the one before
+    assert [line.strip() for line in loops].count("while True:") == len(
+        boundsearch._ROWS)
+    # the rows' loops and the leaf's, under CPython's limit of 20
+    assert len(loops) == len(boundsearch._ROWS) + 1 <= 20
+    monkeypatch.setattr(boundsearch, "_ROWS", boundsearch._ROWS * 2)
+    with pytest.raises(InvariantError, match="at most 20"):
+        boundsearch.walk_source()
+
+
+@pytest.mark.parametrize("depth, compiles", [(20, True), (21, False)])
+def test_cpython_limits_statically_nested_loops(depth, compiles):
+    # the limit the walk's guard states; it fails at compile time
+    source = "".join("    " * i + "for _ in ():\n" for i in range(depth))
+    source += "    " * depth + "pass\n"
+    if compiles:
+        compile(source, "<nested>", "exec")
+    else:
+        with pytest.raises(SyntaxError, match="nested blocks"):
+            compile(source, "<nested>", "exec")
 
 
 def test_search_skips_pattern_reductions_for_covered_candidates(monkeypatch):

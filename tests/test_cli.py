@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -228,6 +229,28 @@ def test_search_human_output(capsys):
     assert out.startswith("frontier of 10 bounds (budget=4, g_max=6,"
                           " 178 combinations examined")
     assert "<=" in out
+
+
+def test_search_stats_line(capsys):
+    for mode in (["--json"], []):
+        rc, out, err = run(capsys, "search", "--budget", "4", *mode)
+        rc_s, out_s, err_s = run(capsys, "search", "--budget", "4", *mode,
+                                 "--stats")
+        assert rc == rc_s == 0 and err == ""
+        # stdout is unchanged; the text header's time may differ
+        assert re.sub(r", [0-9.]+s\)", ")", out_s) == re.sub(
+            r", [0-9.]+s\)", ")", out)
+        assert err_s.count("\n") == 1
+        stats = json.loads(err_s)
+        assert list(stats) == ["examined", "skipped", "complete", "frontier",
+                               "elapsed_s"]
+        assert stats["examined"] == 178 and stats["complete"] is True
+        assert 0 <= stats["skipped"] < 178 and stats["frontier"] == 10
+        assert isinstance(stats["elapsed_s"], float)
+    _, _, err = run(capsys, "search", "--budget", "10", "--node-limit",
+                    "100", "--json", "--stats")
+    stats = json.loads(err.splitlines()[0])
+    assert stats["examined"] == 100 and stats["complete"] is False
 
 
 def test_search_replay_roundtrip(capsys, tmp_path):

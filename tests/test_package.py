@@ -65,6 +65,19 @@ def test_sweep_loads_neither_search_nor_asymptotics():
     assert not loaded & {"boundsearch", "asymptotics"}
 
 
+def test_search_compiles_its_walk_on_first_use():
+    compiled = fresh("""
+import json
+from unitfrac import boundsearch
+boundsearch.combine({"t1": 1})
+boundsearch.partition({"z23": 1, "z234": 1}, 1)
+before = boundsearch.compiled_walk.cache_info().currsize
+boundsearch.search(1)
+print(json.dumps([before, boundsearch.compiled_walk.cache_info().currsize]))
+""")
+    assert compiled == [0, 1]
+
+
 @pytest.mark.parametrize("first", ["import unitfrac.boundsearch",
                                    "from unitfrac import search"])
 def test_closure_is_the_function_in_every_import_order(first):
