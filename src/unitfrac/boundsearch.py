@@ -260,7 +260,8 @@ def pattern_reductions(
     for s, c in pattern.items():
         if s not in _SYMBOL_POS:
             raise InputError("unknown pattern symbol %r" % s)
-        _count(c, s)
+        if not (type(c) is int and c >= 0):  # else raise as _count does
+            _count(c, s)
     counts = [pattern.get(s, 0) for s in _SYMBOL_ORDER]
     # no other instance holds an instance's d-symbol, so one without it
     # can never apply; each instance takes one d-symbol and at least two
@@ -564,15 +565,18 @@ def _add_lines(row, times: Optional[str], sign: int = 1) -> List[str]:
 
 
 def walk_source() -> str:
-    """Source of `_walk(budget, node_limit, steps, covered, candidate)`.
+    """Source of `_walk(budget, node_limit, steps, covered, decided,
+    candidate)`.
 
     One `while` loop per template row, nested in template order, raises
     multiplicity k<i> from the least value that clears what no later row
     raises to the remaining budget r<i>, and stops early once an exponent
     in the row sum (locals c0, c1, ...) sinks below what the rest of the
     budget can clear.  Each leaf enforces `node_limit`, counts itself and
-    runs the optimistic pre-check; only an undecided leaf calls
-    `candidate(multiplicities, row)`.  Returns (examined, skipped, complete).
+    runs the optimistic pre-check: its pair (A, B) is decided when it is
+    in the set `decided`, or when every g's key is covered, and then joins
+    that set.  Only an undecided leaf calls `candidate(multiplicities,
+    row)`.  Returns (examined, skipped, complete).
     """
     if len(_ROWS) + 1 > 20:  # the rows' loops and the leaf's
         raise InvariantError("%d template rows need %d nested loops; CPython"
@@ -609,17 +613,21 @@ def walk_source() -> str:
         "if examined == node_limit:", "    return examined, skipped, False",
         "examined += 1",
         "_a = c%d - min(c%d, c%d // 2)" % (_N_COL, _DSUM_COL, _NSUM_COL),
-        "for _, _s in steps:",
-        "    if not covered((_a * _s, c%d * _s)):" % _M_COL,
-        "        candidate((%s,), [%s])" % (
+        "_p = _a, c%d" % _M_COL,
+        "if _p in decided:", "    skipped += 1",
+        "else:",
+        "    for _, _s in steps:",
+        "        if not covered((_a * _s, c%d * _s)):" % _M_COL,
+        "            candidate((%s,), [%s])" % (
             ", ".join("k%d" % i for i in range(len(_ROWS))), ", ".join(cols)),
-        "        break",
-        "else:", "    skipped += 1"]]
+        "            break",
+        "    else:", "        decided.add(_p)", "        skipped += 1"]]
     for loop_depth, last, after in reversed(tails):
         body += [(loop_depth + 1, line) for line in last]
         body += [(loop_depth, line) for line in after]
     body.append((0, "return examined, skipped, True"))
-    return ("def _walk(budget, node_limit, steps, covered, candidate):\n"
+    return ("def _walk(budget, node_limit, steps, covered, decided,"
+            " candidate):\n"
             + "".join("    " * (d + 1) + line + "\n" for d, line in body))
 
 
@@ -650,7 +658,9 @@ def search(
     left unexamined, and the frontier is then partial.  `skipped` counts
     the examined combinations whose every point was already covered at
     the smallest A their pattern allows, so that `pattern_reductions`
-    never ran on them.
+    never ran on them.  Coverage only grows, so each pair (A, B) found
+    covered at every g is remembered for the rest of the call and
+    decided again without a `covered()` call.
     """
     if check_integer(budget, "budget") < 1:
         raise InputError("budget must be >= 1, got %d" % budget)
@@ -669,6 +679,10 @@ def search(
     # increasing in A
     steps = tuple((g, scale // g) for g in range(1, g_max + 1))
     covered = frontier.covered
+    # the pairs (A, B) whose key is covered at every g.  An insert only
+    # drops points that the new point dominates, so a covered key stays
+    # covered and a pair, once here, is decided for the rest of the search
+    decided = set()
 
     def candidate(mults: Tuple[int, ...], row: List[int]) -> None:
         """Score a combination the walk's pre-check left undecided."""
@@ -677,6 +691,9 @@ def search(
         raw_pattern = {s: row[pos] for pos, s in _SYMBOL_COLS if row[pos]}
         q, apps = pattern_reductions(raw_pattern)
         a_total = row[_N_COL] - q
+        pair = (a_total, b_total)
+        if pair in decided:
+            return
         packings = None
         for g, step in steps:
             key = (a_total * step, b_total * step)
@@ -701,9 +718,11 @@ def search(
                 partition=_partition_of(
                     vec, [sets[idx] for idx in packings[g - 1]]),
             ))
+        if packings is None:  # no key was left uncovered
+            decided.add(pair)
 
     examined, skipped, complete = compiled_walk()(
-        budget, node_limit, steps, covered, candidate)
+        budget, node_limit, steps, covered, decided, candidate)
     return SearchResult(
         frontier=frontier.sorted(),
         examined=examined,

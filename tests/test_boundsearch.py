@@ -458,6 +458,44 @@ def test_search_skipped_counts_are_pinned(budget_nine):
     assert search(10).skipped == 22449
 
 
+def test_search_budget_twelve_is_pinned():
+    # the budget where remembering decided pairs saves the most
+    result = search(12)
+    assert result.complete and result.examined == 107528
+    assert result.skipped == 94678 and len(result.frontier) == 40
+    text = "".join(witness_to_json(b) + "\n" for b in result.frontier)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cb8285c172756cce309c454ad3bc3cab293316cd64a36bd973cfbf90db5eeeab")
+
+
+def test_walk_decides_each_covered_pair_once():
+    # with every key covered, each leaf is skipped, and only a pair's
+    # first leaf asks `covered`, once per g
+    keys = []
+
+    def covered(key):
+        keys.append(key)
+        return True
+
+    def candidate(mults, row):
+        raise AssertionError("a covered leaf reached candidate")
+
+    steps = ((1, 2), (2, 1))
+    decided = set()
+    examined, skipped, complete = boundsearch.compiled_walk()(
+        4, None, steps, covered, decided, candidate)
+    assert complete and examined == skipped == search(4).examined
+    assert 1 < len(decided) < examined
+    assert sorted(keys) == sorted((a * s, b * s) for a, b in decided
+                                  for _, s in steps)
+    # a pair already decided takes no `covered` call at all
+    keys.clear()
+    assert boundsearch.compiled_walk()(
+        4, None, steps, covered, decided, candidate)[:2] == (examined,
+                                                             examined)
+    assert keys == []
+
+
 def test_walk_source_nests_one_loop_per_row(monkeypatch):
     source = boundsearch.walk_source()
     assert source == boundsearch.walk_source()
@@ -533,6 +571,24 @@ def test_frontier_staircase_matches_pairwise_rule(steps):
             == [combo for _, combo in sorted(reference,
                                               key=lambda e: e[0])])
     assert sorted(frontier.points) == sorted(key for key, _ in reference)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+                max_size=30))
+def test_frontier_coverage_only_grows(keys):
+    # the search remembers pairs found covered, which is sound only if
+    # inserting an uncovered key never uncovers another key
+    frontier = _Frontier()
+    grid = [(a, b) for a in range(-3, 8) for b in range(-3, 8)]
+    before = set()
+    for key in keys:
+        if frontier.covered(key):
+            continue
+        frontier.insert(key, SimpleNamespace(combination={"t1": 1}))
+        after = {k for k in grid if frontier.covered(k)}
+        assert before <= after
+        before = after
 
 
 def test_witness_roundtrip_and_tamper_detection(budget_nine):
@@ -665,6 +721,24 @@ def test_counts_exponents_and_sizes_must_be_integers():
                        {"budget": 2, "node_limit": bad}):
             with pytest.raises(InputError):
                 search(**kwargs)
+    # pattern_reductions checks a plain int inline and every other value
+    # through check_integer: the two must accept and reject alike
+    class Count(int):
+        pass
+
+    bads = [2.0, False, Count(-1), "1"]
+    try:
+        import numpy
+    except ImportError:  # numpy is not a dependency
+        pass
+    else:
+        bads.append(numpy.int64(1))
+    for bad in bads:
+        with pytest.raises(InputError):
+            pattern_reductions({"n1": bad, "n2": 1, "d12": 1})
+    assert pattern_reductions({"n1": Count(1), "n2": 1, "d12": 1}) == (
+        1, (("n1", "n2", "d12"),))
+    assert pattern_reductions({"n1": Count(0), "n2": 1, "d12": 1}) == (0, ())
 
 
 def test_search_rejects_bad_library():
