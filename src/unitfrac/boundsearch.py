@@ -288,12 +288,41 @@ def default_library() -> Tuple[FrozenSet[str], ...]:
     return tuple(sort_sets(sets))
 
 
+# Fractional covers of the default library: weight 1 on the first group of
+# parameters, 1/2 on the second, so that every library set weighs at least
+# 1.  Each set of a packing under an exponent vector takes at least 1 of
+# the vector's weight on a cover, so no more sets fit than that weight.
+# The covers are vertices of the dual of the packing LP, solved at the
+# partition scans of the searches at budgets 9-11, most frequent first.
+_COVERS: Tuple[Tuple[str, str], ...] = (
+    ("x23 x24 x34 z23 z24 z34 z123 z124 z134", ""),
+    ("z23 z24 z34 z123 z124 z134", "x23 x24 x34 x234"),
+    ("x134 z13 z14 z34 z123 z124 z134 z234", ""),
+    ("x34 x234 z13 z14 z34 z123 z124 z134 z234", ""),
+    ("x24 x234 z13 z14 z34 z123 z124 z134 z234", ""),
+    ("x13 x14 x34 z13 z14 z34 z123 z124 z234", ""),
+    ("x14 x34 z13 z14 z34 z123 z124 z134 z234", ""),
+    ("x14 x24 z13 z14 z34 z123 z124 z134 z234", ""),
+    ("x34 z34 z123 z124 z134", "x23 x234 z13 z14 z23 z24 z234"),
+    ("x24 x34 x234 z23 z24 z34 z123 z124 z134", ""),
+)
+# each cover as (position, doubled weight) pairs, in position order
+_Cover = Tuple[Tuple[int, int], ...]
+_COVER_WEIGHTS: Tuple[_Cover, ...] = tuple(
+    tuple(sorted([(_PARAM_POS[p], 2) for p in ones.split()]
+                 + [(_PARAM_POS[p], 1) for p in halves.split()]))
+    for ones, halves in _COVERS)
+
+
 def _library_supports(
     library: Optional[Sequence[FrozenSet[str]]],
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[FrozenSet[str], ...]]:
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[FrozenSet[str], ...],
+           Tuple[_Cover, ...]]:
     """The library's sets, each with the sorted positions of its parameters.
 
-    Returns (supports, sets), index-aligned.  None stands for the default
+    Returns (supports, sets, covers): supports and sets index-aligned, and
+    the stored covers that every set of this library meets with weight
+    >= 1, in doubled integer weights.  None stands for the default
     library, defining by construction.  Every set of any other library
     must be defining: a partition over a set that is not would certify
     nothing.
@@ -308,7 +337,18 @@ def _library_supports(
             raise InputError(
                 "library set %s is not defining; partitions over it"
                 " would certify nothing" % sorted(s))
-    return tuple(tuple(sorted(_PARAM_POS[p] for p in s)) for s in sets), sets
+    supports = tuple(tuple(sorted(_PARAM_POS[p] for p in s)) for s in sets)
+    covers = tuple(cover for cover in _COVER_WEIGHTS
+                   if all(sum(w for pos, w in cover if pos in support) >= 2
+                          for support in supports))
+    return supports, sets, covers
+
+
+def _packing_cap(covers: Sequence[_Cover], vec: Sequence[int],
+                 g_max: int) -> int:
+    """min(g_max, the weight of `vec` on each cover): no more sets fit."""
+    return min([g_max] + [sum([vec[pos] * w for pos, w in cover]) // 2
+                          for cover in covers])
 
 
 @dataclass(frozen=True)
@@ -367,12 +407,15 @@ def partition(
     Finds g library sets (repetition allowed) whose componentwise sum
     stays under the exponent vector; everything left over is assigned to
     the first part.  The bases are the lexicographically first such
-    sequence in canonical library order; None when infeasible.
+    sequence in canonical library order; None when infeasible, and at
+    once when the library's covers leave no room for g sets.
     """
     if check_integer(g, "g") < 1:
         raise InputError("g must be >= 1, got %d" % g)
-    supports, sets = _library_supports(library)
+    supports, sets, covers = _library_supports(library)
     vec = _exponent_vector(lhs)
+    if _packing_cap(covers, vec, g) < g:
+        return None
     packings = _first_packings(supports, vec, g)
     if len(packings) < g:
         return None
@@ -387,8 +430,10 @@ def max_feasible_g(
     """Largest g <= g_max for which partition(lhs, g) succeeds (0 if none)."""
     if check_integer(g_max, "g_max") < 1:
         raise InputError("g_max must be >= 1, got %d" % g_max)
-    supports, _ = _library_supports(library)
-    return len(_first_packings(supports, _exponent_vector(lhs), g_max))
+    supports, _, covers = _library_supports(library)
+    vec = _exponent_vector(lhs)
+    return len(_first_packings(supports, vec,
+                               _packing_cap(covers, vec, g_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +705,9 @@ def search(
     the smallest A their pattern allows, so that `pattern_reductions`
     never ran on them.  Coverage only grows, so each pair (A, B) found
     covered at every g is remembered for the rest of the call and
-    decided again without a `covered()` call.
+    decided again without a `covered()` call.  The library's covers cap
+    each packing scan (`_packing_cap`); a candidate whose first uncovered
+    g lies above the cap is refuted without a scan.
     """
     if check_integer(budget, "budget") < 1:
         raise InputError("budget must be >= 1, got %d" % budget)
@@ -669,7 +716,7 @@ def search(
     if node_limit is not None and check_integer(node_limit, "node_limit") < 1:
         raise InputError("node_limit must be >= 1, got %d" % node_limit)
     started = time.perf_counter()
-    supports, sets = _library_supports(library)
+    supports, sets, covers = _library_supports(library)
     index = inequality_index()
     frontier = _Frontier()
     # every part of a packing takes an occurrence, so no larger g fits
@@ -700,7 +747,10 @@ def search(
             if covered(key):
                 continue
             if packings is None:
-                packings = _first_packings(supports, vec, g_max)
+                cap = _packing_cap(covers, vec, g_max)
+                if g > cap:  # refuted without a scan
+                    return
+                packings = _first_packings(supports, vec, cap)
             if g > len(packings):
                 return
             combo = {k: m for k, m in zip(TEMPLATE_ORDER, mults) if m}

@@ -6,6 +6,7 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
@@ -30,7 +31,7 @@ from unitfrac.boundsearch import (
     witness_to_json,
 )
 from unitfrac.catalog import build_inequalities
-from unitfrac.closure import is_defining
+from unitfrac.closure import is_defining, minimal_defining_sets
 from unitfrac.errors import (InputError, InvariantError,
                              UnclearedDenominatorError)
 
@@ -268,6 +269,92 @@ def test_partition_is_the_first_fitting_combination(keep, exps, g):
         assert result is None
     else:
         assert (list(result.bases), dict(result.leftover)) == expected
+
+
+def _cover_weights(cover):
+    """A stored cover as exact weights by parameter name."""
+    ones, halves = cover
+    weights = dict.fromkeys(ones.split(), Fraction(1))
+    weights.update(dict.fromkeys(halves.split(), Fraction(1, 2)))
+    return weights
+
+
+def _covers_every_set(weights, library):
+    return all(sum(weights.get(p, 0) for p in s) >= 1 for s in library)
+
+
+@lru_cache(maxsize=None)
+def _minimal_five():
+    return tuple(minimal_defining_sets(5))
+
+
+def test_stored_covers_are_tight_fractional_covers_of_the_default_library():
+    library = default_library()
+    for cover in boundsearch._COVERS:
+        ones, halves = (group.split() for group in cover)
+        assert set(ones + halves) <= set(P.PARAM_ORDER)
+        assert len(set(ones + halves)) == len(ones) + len(halves)
+        weights = _cover_weights(cover)
+        assert _covers_every_set(weights, library), cover
+        # every weight is needed: half of it less leaves some set under 1
+        for p in weights:
+            assert not _covers_every_set(
+                dict(weights, **{p: weights[p] - Fraction(1, 2)}), library), p
+    assert len(set(boundsearch._COVERS)) == len(boundsearch._COVERS)
+
+
+def test_each_library_keeps_exactly_the_covers_valid_for_it():
+    for library, kept in ((default_library(), 10), (_minimal_five(), 4)):
+        expected = [_cover_weights(c) for c in boundsearch._COVERS
+                    if _covers_every_set(_cover_weights(c), library)]
+        covers = boundsearch._library_supports(library)[2]
+        assert [{P.PARAM_ORDER[pos]: Fraction(w, 2) for pos, w in cover}
+                for cover in covers] == expected
+        assert len(expected) == kept
+
+
+# the cap leaves every partition and packing number as the plain scan has them
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(("default", "minimal five")),
+       st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(P.PARAM_ORDER),
+                max_size=len(P.PARAM_ORDER)))
+def test_capped_partitions_match_the_uncapped_scan(which, exps):
+    library = default_library() if which == "default" else _minimal_five()
+    lhs = {p: e for p, e in zip(P.PARAM_ORDER, exps) if e}
+    supports = [tuple(sorted(P.PARAM_ORDER.index(p) for p in s))
+                for s in library]
+    firsts = boundsearch._first_packings(supports, exps, 7)
+    for g in range(1, 8):
+        result = partition(lhs, g, library=library)
+        if g > len(firsts):
+            assert result is None
+            continue
+        bases = [library[idx] for idx in firsts[g - 1]]
+        left = dict(lhs)
+        for base in bases:
+            for p in base:
+                left[p] -= 1
+        assert (list(result.bases), dict(result.leftover)) == (
+            bases, {p: v for p, v in left.items() if v})
+    assert max_feasible_g(lhs, 7, library=library) == len(firsts)
+
+
+def test_search_scans_stop_at_the_cover_cap(monkeypatch):
+    # at budget 9 the covers refute every g above the packing number, so
+    # each scan that runs reaches its cap
+    scans = []
+    real = boundsearch._first_packings
+
+    def recording(supports, vec, limit, covers=()):
+        firsts = real(supports, vec, limit, covers)
+        if not covers:  # a partition scan, not a pattern reduction
+            scans.append((limit, len(firsts)))
+        return firsts
+
+    monkeypatch.setattr(boundsearch, "_first_packings", recording)
+    assert search(9).examined == 14312
+    assert len(scans) == 272
+    assert all(limit == depth for limit, depth in scans)
 
 
 def test_search_tiny_budget():
