@@ -35,7 +35,7 @@ from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
 
 from . import params as P
 from .catalog import InequalityTemplate, build_inequalities, inequality_index
-from .closure import CORE_DEFINING_SETS, is_defining, minimal_defining_sets, sort_sets
+from .closure import is_defining
 from .errors import (InputError, InvariantError, UnclearedDenominatorError,
                      check_integer)
 
@@ -279,13 +279,29 @@ def pattern_reductions(
 # partitioning into defining-set groups
 
 
-# Cached: a tuple of frozensets is immutable, so callers can share it.
-@lru_cache(maxsize=None)
+# The minimal defining sets of size <= 3 and the six catalogued sets, in
+# `closure.sort_sets` order.  Stored as data, so that a search builds no
+# closure rules; a test re-derives it through `closure`.
+_DEFAULT_SETS: Tuple[str, ...] = (
+    "z12 z34", "z12 z123", "z12 z124", "z13 z24", "z13 z123", "z13 z134",
+    "z14 z23", "z14 z124", "z14 z134", "z23 z123", "z23 z234", "z24 z124",
+    "z24 z234", "z34 z134", "z34 z234", "z123 z124", "z123 z134", "z123 z234",
+    "z124 z134", "z124 z234", "z134 z234", "x12 x13 z123", "x12 x14 z124",
+    "x12 x23 z123", "x12 x24 z124", "x12 x123 z123", "x12 x124 z124",
+    "x13 x14 z134", "x13 x23 z123", "x13 x34 z134", "x13 x123 z123",
+    "x13 x134 z134", "x14 x24 z124", "x14 x34 z134", "x14 x124 z124",
+    "x14 x134 z134", "x23 x24 z234", "x23 x34 z234", "x23 x123 z123",
+    "x23 x234 z234", "x24 x34 z234", "x24 x124 z124", "x24 x234 z234",
+    "x34 x134 z134", "x34 x234 z234", "x12 x123 x124 x1234 z34",
+    "x12 x13 x24 x34 x123 x124 x134 x1234",
+    "x12 x13 x14 x23 x123 x124 x134 x234 x1234",
+)
+_DEFAULT_LIBRARY = tuple(frozenset(s.split()) for s in _DEFAULT_SETS)
+
+
 def default_library() -> Tuple[FrozenSet[str], ...]:
     """Minimal defining sets up to size 3 plus the six catalogued sets."""
-    sets = set(minimal_defining_sets(3))
-    sets.update(CORE_DEFINING_SETS)
-    return tuple(sort_sets(sets))
+    return _DEFAULT_LIBRARY
 
 
 # Fractional covers of the default library: weight 1 on the first group of
@@ -312,28 +328,46 @@ _COVER_WEIGHTS: Tuple[_Cover, ...] = tuple(
     tuple(sorted([(_PARAM_POS[p], 2) for p in ones.split()]
                  + [(_PARAM_POS[p], 1) for p in halves.split()]))
     for ones, halves in _COVERS)
+# (supports, sets, covers) of one library, as `_library_supports` returns it
+_Checked = Tuple[Tuple[Tuple[int, ...], ...], Tuple[FrozenSet[str], ...],
+                 Tuple[_Cover, ...]]
 
 
-def _library_supports(
-    library: Optional[Sequence[FrozenSet[str]]],
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[FrozenSet[str], ...],
-           Tuple[_Cover, ...]]:
+def _library_supports(library: Optional[Sequence[FrozenSet[str]]]) -> _Checked:
     """The library's sets, each with the sorted positions of its parameters.
 
     Returns (supports, sets, covers): supports and sets index-aligned, and
     the stored covers that every set of this library meets with weight
     >= 1, in doubled integer weights.  None stands for the default
-    library, defining by construction.  Every set of any other library
-    must be defining: a partition over a set that is not would certify
-    nothing.
+    library.  Each entry is an iterable of parameter names; a string is
+    refused rather than read as its characters.
     """
-    sets = tuple(frozenset(s) for s in
-                 (default_library() if library is None else library))
+    if library is None:
+        return _checked_library(_DEFAULT_LIBRARY)
+    sets = []
+    for s in library:
+        if isinstance(s, str):
+            raise InputError("library set %r is a string, not a collection"
+                             " of parameter names" % s)
+        sets.append(frozenset(s))
+    return _checked_library(tuple(sets))
+
+
+# lru_cache keeps no exceptions, so a library that fails raises every time
+@lru_cache(maxsize=32)
+def _checked_library(sets: Tuple[FrozenSet[str], ...]) -> _Checked:
+    """`_library_supports` for a tuple of sets, checked and cached.
+
+    Every set must be defining: a partition over a set that is not would
+    certify nothing.  A set of the stored default library is taken as
+    defining, since a test re-derives that library through the closure;
+    every other set goes through `is_defining`.
+    """
     for s in sets:
         for p in s:
             if p not in _PARAM_POS:
                 raise InputError("unknown parameter %r in library set" % p)
-        if library is not None and not is_defining(s):
+        if s not in _DEFAULT_LIBRARY and not is_defining(s):
             raise InputError(
                 "library set %s is not defining; partitions over it"
                 " would certify nothing" % sorted(s))

@@ -31,7 +31,8 @@ from unitfrac.boundsearch import (
     witness_to_json,
 )
 from unitfrac.catalog import build_inequalities
-from unitfrac.closure import is_defining, minimal_defining_sets
+from unitfrac.closure import (CORE_DEFINING_SETS, is_defining,
+                              minimal_defining_sets, sort_sets)
 from unitfrac.errors import (InputError, InvariantError,
                              UnclearedDenominatorError)
 
@@ -183,6 +184,11 @@ def test_default_library():
     sizes = sorted(len(s) for s in library)
     assert sizes[:2] == [2, 2] and sizes[-2:] == [8, 9]
     assert default_library() is library
+
+
+def test_stored_default_library_is_the_derived_one():
+    derived = set(minimal_defining_sets(3)) | set(CORE_DEFINING_SETS)
+    assert boundsearch._DEFAULT_LIBRARY == tuple(sort_sets(derived))
 
 
 def test_partition_reference_a():
@@ -839,6 +845,63 @@ def test_partition_and_max_feasible_g_reject_bad_library():
         partition({"x12": 1}, 1, library=library)
     with pytest.raises(InputError, match="not defining"):
         max_feasible_g({"x12": 3}, 6, library=library)
+
+
+def _counting_is_defining(monkeypatch):
+    calls = []
+
+    def counting(s, *args):
+        calls.append(frozenset(s))
+        return is_defining(s, *args)
+
+    monkeypatch.setattr(boundsearch, "is_defining", counting)
+    return calls
+
+
+def test_custom_library_is_checked_once_and_bad_ones_every_time(monkeypatch):
+    calls = _counting_is_defining(monkeypatch)
+    boundsearch._checked_library.cache_clear()
+    library = list(_minimal_five())  # a list, as a caller may pass
+    for g in (1, 2, 3):
+        partition(dict(EXPONENTS_B), g, library=library)
+    outside = [s for s in library if s not in default_library()]
+    assert len(outside) == 17
+    assert sorted(calls, key=sorted) == sorted(outside, key=sorted)
+    # the default library is trusted as stored: no closure runs for it
+    del calls[:]
+    search(3)
+    search(3, library=default_library())
+    partition(dict(EXPONENTS_A), 4, library=list(default_library()))
+    assert calls == []
+    bad = [frozenset({"z23", "z234"}), frozenset({"x12"})]
+    for _ in range(2):
+        with pytest.raises(InputError, match="not defining"):
+            search(3, library=bad)
+        with pytest.raises(InputError, match="not defining"):
+            partition({"x12": 1}, 1, library=bad)
+        with pytest.raises(InputError, match="not defining"):
+            max_feasible_g({"x12": 3}, 6, library=bad)
+
+
+def test_library_set_given_as_a_string_is_refused():
+    library = ["z12 z34"]
+    calls = (lambda: search(3, library=library),
+             lambda: partition({"z12": 1, "z34": 1}, 1, library=library),
+             lambda: max_feasible_g({"z12": 1, "z34": 1}, 6, library=library))
+    for call in calls:
+        with pytest.raises(InputError, match="'z12 z34'"):
+            call()
+    assert partition({"z12": 1, "z34": 1}, 1,
+                     library=[("z12", "z34")]).bases == (
+        frozenset({"z12", "z34"}),)
+
+
+def test_replay_checks_every_base_with_is_defining(monkeypatch):
+    calls = _counting_is_defining(monkeypatch)
+    bound = max(search(9).frontier, key=lambda b: b.g)
+    replay_witness(json.loads(witness_to_json(bound)))
+    assert calls == list(bound.partition.bases)
+    assert len(calls) == bound.g > 1
 
 
 def test_search_rejects_budget_below_one():

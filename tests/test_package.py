@@ -78,6 +78,22 @@ print(json.dumps([before, boundsearch.compiled_walk.cache_info().currsize]))
     assert compiled == [0, 1]
 
 
+def test_search_builds_no_closure_rules_and_replay_does():
+    built = fresh("""
+import json
+from unitfrac import catalog
+from unitfrac.boundsearch import (default_library, replay_witness, search,
+                                  witness_to_json)
+result = search(3)
+search(3, library=default_library())
+before = catalog.build_rules.cache_info().currsize
+replay_witness(json.loads(witness_to_json(result.frontier[0])))
+print(json.dumps([before, catalog.build_rules.cache_info().currsize]))
+""")
+    assert built[0] == 0
+    assert built[1] > 0
+
+
 @pytest.mark.parametrize("first", ["import unitfrac.boundsearch",
                                    "from unitfrac import search"])
 def test_closure_is_the_function_in_every_import_order(first):
