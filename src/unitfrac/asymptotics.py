@@ -26,7 +26,7 @@ from math import isqrt
 from typing import List, Optional, Tuple
 
 from .enumeration import count_representations
-from .errors import InputError
+from .errors import InputError, check_integer
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,18 @@ def breakpoint_alphas() -> Tuple[Fraction, ...]:
     return tuple(c * alpha_scale() for c in breakpoints())
 
 
+def _rational(value, name: str) -> Fraction:
+    """`value` as an exact Fraction; a bool, None, NaN or inf is InputError."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise InputError("%s must be a rational number, got %r" % (name, value))
+
+
 def _check_c(c) -> Fraction:
-    c = Fraction(c)
+    c = _rational(c, "c")
     if c < 0 or c > 1:
         raise InputError("c must lie in [0, 1], got %s" % c)
     return c
@@ -199,10 +209,8 @@ def bound_report(m: int, n: int) -> BoundReport:
     appear only in the reported magnitudes; an n whose magnitudes do not
     fit a float is an InputError.
     """
-    if n < 2:
-        raise InputError("n must be >= 2 to define c = log(m)/log(n)")
-    if m < 1 or m > n:
-        raise InputError("m must satisfy 1 <= m <= n, got m=%d n=%d" % (m, n))
+    check_integer(n, "n", 2)  # c = log(m)/log(n) needs n >= 2
+    check_integer(m, "m", 1, n)
     region = sum(m ** p.denominator > n ** p.numerator for p in breakpoints())
     c_float = math.log(m) / math.log(n)
     formula = regime_table()[region][2]
@@ -239,15 +247,14 @@ class FkBound:
 
 
 def fk_exponent(k: int) -> Fraction:
-    if k < 5:
-        raise InputError("k must be >= 5, got %d" % k)
+    check_integer(k, "k", 5)
     return Fraction(8, 5) * 2 ** (k - 5)
 
 
 def fk_bound(k: int, m: int = 1, n: int = 1) -> FkBound:
     """Exponent and order of magnitude of the k-term bound."""
-    if m < 1 or n < 1:
-        raise InputError("m and n must be positive")
+    check_integer(m, "m", 1)
+    check_integer(n, "n", 1)
     exponent = fk_exponent(k)
     log10_base = (Fraction(4, 3) * math.log10(k) + 2 * math.log10(n)
                   - math.log10(m))
@@ -272,10 +279,7 @@ def lift_report(n_max: int) -> Tuple[LiftRow, ...]:
     n^epsilon factor, so no inequality is asserted at desk scale.  Rows
     with m/n > 5 demonstrate the vanishing tail.
     """
-    if n_max < 1:
-        raise InputError("n_max must be positive, got %d" % n_max)
-    if n_max > 8:
-        raise InputError("n_max > 8 is not desk-scale for 5-term counts")
+    check_integer(n_max, "n_max", 1, 8)  # beyond 8 is not desk-scale
     rows: List[LiftRow] = []
     exponent = float(fk_exponent(5))
     for n in range(1, n_max + 1):
@@ -326,7 +330,7 @@ class SylvesterState:
     def decimal_prefix(self, digits: int) -> Optional[int]:
         """floor(c0 * 10^digits) when both ends agree on it, else None."""
         lo, hi = self.bracket
-        scale = 10 ** digits
+        scale = 10 ** check_integer(digits, "digits", 0)
         lo_floor = (lo.numerator * scale) // lo.denominator
         hi_floor = (hi.numerator * scale) // hi.denominator
         return lo_floor if lo_floor == hi_floor else None
@@ -349,7 +353,7 @@ def sylvester(target_width) -> SylvesterState:
     roots are taken as certified rational brackets, so the returned
     interval provably contains the constant.
     """
-    target = Fraction(target_width)
+    target = _rational(target_width, "target width")
     if target <= 0:
         raise InputError("target width must be positive, got %s" % target)
     # bracket rounding must stay well below the target interval width

@@ -53,13 +53,6 @@ _SYMBOL_ORDER: Tuple[str, ...] = P.PATTERN_SYMBOLS
 _SYMBOL_POS = {s: i for i, s in enumerate(_SYMBOL_ORDER)}
 
 
-def _count(value, name: str) -> int:
-    """`value` if it is an int >= 0 and not a bool, else InputError."""
-    if check_integer(value, name) < 0:
-        raise InputError("%s must be an integer >= 0, got %r" % (name, value))
-    return value
-
-
 def normalize_combination(combination: Combination) -> Dict[str, int]:
     """Validated copy with templates in canonical order, zeros dropped."""
     out: Dict[str, int] = {}
@@ -67,7 +60,7 @@ def normalize_combination(combination: Combination) -> Dict[str, int]:
         if key not in _TEMPLATE_POS:
             raise InputError("unknown inequality template %r" % key)
     for key in TEMPLATE_ORDER:
-        mult = _count(combination.get(key, 0), key)
+        mult = check_integer(combination.get(key, 0), key, 0)
         if mult:
             out[key] = mult
     return out
@@ -260,8 +253,8 @@ def pattern_reductions(
     for s, c in pattern.items():
         if s not in _SYMBOL_POS:
             raise InputError("unknown pattern symbol %r" % s)
-        if not (type(c) is int and c >= 0):  # else raise as _count does
-            _count(c, s)
+        if not (type(c) is int and c >= 0):  # a plain count skips the call
+            check_integer(c, s, 0)
     counts = [pattern.get(s, 0) for s in _SYMBOL_ORDER]
     # no other instance holds an instance's d-symbol, so one without it
     # can never apply; each instance takes one d-symbol and at least two
@@ -339,16 +332,14 @@ def _library_supports(library: Optional[Sequence[FrozenSet[str]]]) -> _Checked:
     Returns (supports, sets, covers): supports and sets index-aligned, and
     the stored covers that every set of this library meets with weight
     >= 1, in doubled integer weights.  None stands for the default
-    library.  Each entry is an iterable of parameter names; a string is
-    refused rather than read as its characters.
+    library.  `params_to_mask` checks each entry's names and refuses a
+    string rather than read it as its characters.
     """
     if library is None:
         return _checked_library(_DEFAULT_LIBRARY)
     sets = []
     for s in library:
-        if isinstance(s, str):
-            raise InputError("library set %r is a string, not a collection"
-                             " of parameter names" % s)
+        P.params_to_mask(s)
         sets.append(frozenset(s))
     return _checked_library(tuple(sets))
 
@@ -364,9 +355,6 @@ def _checked_library(sets: Tuple[FrozenSet[str], ...]) -> _Checked:
     every other set goes through `is_defining`.
     """
     for s in sets:
-        for p in s:
-            if p not in _PARAM_POS:
-                raise InputError("unknown parameter %r in library set" % p)
         if s not in _DEFAULT_LIBRARY and not is_defining(s):
             raise InputError(
                 "library set %s is not defining; partitions over it"
@@ -417,7 +405,7 @@ def _exponent_vector(lhs: Mapping[str, int]) -> List[int]:
     for p, e in lhs.items():
         if p not in _PARAM_POS:
             raise InputError("unknown parameter %r" % p)
-        vec[_PARAM_POS[p]] += _count(e, p)
+        vec[_PARAM_POS[p]] += check_integer(e, p, 0)
     return vec
 
 
@@ -444,8 +432,7 @@ def partition(
     sequence in canonical library order; None when infeasible, and at
     once when the library's covers leave no room for g sets.
     """
-    if check_integer(g, "g") < 1:
-        raise InputError("g must be >= 1, got %d" % g)
+    check_integer(g, "g", 1)
     supports, sets, covers = _library_supports(library)
     vec = _exponent_vector(lhs)
     if _packing_cap(covers, vec, g) < g:
@@ -462,8 +449,7 @@ def max_feasible_g(
     library: Optional[Sequence[FrozenSet[str]]] = None,
 ) -> int:
     """Largest g <= g_max for which partition(lhs, g) succeeds (0 if none)."""
-    if check_integer(g_max, "g_max") < 1:
-        raise InputError("g_max must be >= 1, got %d" % g_max)
+    check_integer(g_max, "g_max", 1)
     supports, _, covers = _library_supports(library)
     vec = _exponent_vector(lhs)
     return len(_first_packings(supports, vec,
@@ -743,12 +729,10 @@ def search(
     each packing scan (`_packing_cap`); a candidate whose first uncovered
     g lies above the cap is refuted without a scan.
     """
-    if check_integer(budget, "budget") < 1:
-        raise InputError("budget must be >= 1, got %d" % budget)
-    if check_integer(g_max, "g_max") < 1:
-        raise InputError("g_max must be >= 1, got %d" % g_max)
-    if node_limit is not None and check_integer(node_limit, "node_limit") < 1:
-        raise InputError("node_limit must be >= 1, got %d" % node_limit)
+    check_integer(budget, "budget", 1)
+    check_integer(g_max, "g_max", 1)
+    if node_limit is not None:
+        check_integer(node_limit, "node_limit", 1)
     started = time.perf_counter()
     supports, sets, covers = _library_supports(library)
     index = inequality_index()
@@ -863,9 +847,10 @@ def replay_witness(doc: Mapping) -> DerivedBound:
                       for k, v in doc["exponents"].items()}
         constant, a_total, b_total, g = (check_integer(doc[key], key)
                                          for key in ("constant", "A", "B", "g"))
-        bases = tuple(frozenset(b) for b in doc["partition"]["bases"])
+        bases = doc["partition"]["bases"]
         for base in bases:
-            P.params_to_mask(base)  # ValueError on an unknown name
+            P.params_to_mask(base)  # InputError on a str or an unknown name
+        bases = tuple(frozenset(b) for b in bases)
         stored_leftover = {k: check_integer(v, k)
                            for k, v in doc["partition"]["leftover"].items()}
         stored_apps = doc["reductions"]
@@ -877,8 +862,7 @@ def replay_witness(doc: Mapping) -> DerivedBound:
         raise InputError("witness has no %s field" % exc) from None
     except (TypeError, AttributeError, ValueError) as exc:  # InputError too
         raise InputError("malformed witness: %s" % exc) from None
-    if g < 1:
-        raise InputError("witness g must be >= 1, got %d" % g)
+    check_integer(g, "witness g", 1)
     # each template multiplies the constant by at least _MIN_CONSTANT;
     # refusing too few bits here keeps combine() off unbounded powers
     if (sum(combo.values()) * (_MIN_CONSTANT.bit_length() - 1)

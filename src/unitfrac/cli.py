@@ -6,7 +6,9 @@ of a soundness check, not a crash).  A closed stdout (the reader of a
 pipe exited) ends the run with 1 and nothing on stderr, never 0, so a
 cut-off run is not read as a complete one.  All JSON output is
 line-delimited with sorted keys, so identical inputs produce
-byte-identical output.
+byte-identical output; the exception is the `search --stats` line on
+stderr, whose key order is fixed and which, like the `elapsed` field of
+`sweep --json`, carries a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence
 
 from . import params as P
-from .errors import InputError, IntegralityError, InvariantError
+from .errors import InputError, IntegralityError, InvariantError, check_integer
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems as InputError (exit 1)."""
@@ -46,9 +48,7 @@ def _parse_param_set(text: str) -> List[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         raise InputError("empty parameter set")
-    for name in names:
-        if name not in P.PARAM_INDEX:
-            raise InputError("unknown parameter name %r" % name)
+    P.params_to_mask(names)
     return names
 
 
@@ -63,13 +63,6 @@ def _load_library(path: str) -> List[FrozenSet[str]]:
     if not sets:
         raise InputError("library file %s contains no sets" % path)
     return sets
-
-
-def _parse_width(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError("width must be a rational like 1e-7 or 1/10000000")
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +160,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_defining_sets(args) -> int:
     from .closure import closure_report, minimal_defining_sets
-    if args.max_size < 1:
-        raise InputError("--max-size must be >= 1")
+    check_integer(args.max_size, "--max-size", 1)
     for s in minimal_defining_sets(args.max_size, convention=args.z_convention):
         print(_json_line(closure_report(s, convention=args.z_convention)))
     return 0
@@ -282,8 +274,14 @@ def _format_width(width: Fraction) -> str:
 
 def _cmd_sylvester(args) -> int:
     from . import asymptotics as asym
-    state = asym.sylvester(_parse_width(args.width))
+    state = asym.sylvester(args.width)
     lo, hi = state.bracket
+    # str() refuses integers longer than this (no limit before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(max(v.numerator, v.denominator) for v in (
+            state.u[-1], lo, hi, state.width)) >= 10 ** limit:
+        raise InputError("width %s needs integers of more than %d digits, the"
+                         " printable limit" % (args.width, limit))
     digits = 0
     while digits < 12 and state.decimal_prefix(digits + 1) is not None:
         digits += 1

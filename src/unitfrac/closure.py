@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from . import params as P
 from .catalog import ClosureRule, build_rules
-from .errors import InputError
+from .errors import check_integer
 
 ParamSet = FrozenSet[str]
 
@@ -86,8 +86,7 @@ def minimal_defining_sets(max_size: int,
     minimal sets are skipped, so every reported set is minimal by
     construction.
     """
-    if not 0 <= max_size <= P.N_PARAMS:
-        raise InputError("max_size must be between 0 and %d" % P.N_PARAMS)
+    check_integer(max_size, "max_size", 0, P.N_PARAMS)
     compiled = _default_compiled(convention)
     found_masks: List[int] = []
     found_sets: List[ParamSet] = []

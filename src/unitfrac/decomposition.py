@@ -32,7 +32,8 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import params as P
 from .catalog import build_inequalities
-from .errors import InputError, IntegralityError, InvariantError
+from .errors import (InputError, IntegralityError, InvariantError,
+                     check_integer)
 from .params import check_convention
 
 # Incomparable index-subset pairs among the 11 sets with |J| >= 2: for these
@@ -72,9 +73,9 @@ def _define(name: str, args: Sequence[str], body: List[str],
 
 def pattern_of(denominators: Sequence[int], n: int) -> Tuple[int, ...]:
     """Componentwise gcd of the denominators with n."""
-    if n <= 0:
-        raise InputError("n must be positive, got %d" % n)
-    return tuple(math.gcd(a, n) for a in denominators)
+    check_integer(n, "n", 1)
+    return tuple(math.gcd(check_integer(a, "denominators[%d]" % i), n)
+                 for i, a in enumerate(denominators))
 
 
 def pattern_data(n: int, pattern: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -118,8 +119,8 @@ def relative_gcds(t: Sequence[int]) -> Dict[str, int]:
     all strictly larger layers are divided out.  Returns a dict keyed by
     x-parameter names ("x1" .. "x1234").
     """
-    values = tuple(t)
-    if len(values) != 4 or any(v <= 0 for v in values):
+    values = tuple(check_integer(v, "t[%d]" % i, 1) for i, v in enumerate(t))
+    if len(values) != 4:
         raise InputError("expected four positive cofactors, got %r" % (values,))
     return dict(zip(X_VALUES, layered_gcds(*values)))
 
@@ -221,11 +222,10 @@ def decompose(
 ) -> Decomposition:
     """Compute the full decomposition of a 4-term solution of `fraction`."""
     check_convention(convention)
-    a = tuple(int(v) for v in denominators)
+    a = tuple(check_integer(v, "denominators[%d]" % i, 1)
+              for i, v in enumerate(denominators))
     if len(a) != 4:
         raise InputError("expected exactly 4 denominators, got %d" % len(a))
-    if any(v <= 0 for v in a):
-        raise InputError("denominators must be positive: %s" % (a,))
     if any(a[i] > a[i + 1] for i in range(3)):
         raise InputError("denominators must be nondecreasing: %s" % (a,))
     f = Fraction(fraction)

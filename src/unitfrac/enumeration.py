@@ -30,7 +30,7 @@ from math import gcd
 from typing import Iterator, List, Tuple
 
 from .arith import factorize, reduce_fraction
-from .errors import InputError, check_integer
+from .errors import check_integer
 
 MAX_TERMS = 6
 
@@ -68,12 +68,9 @@ class EnumerationResult:
 
 
 def _check_query(m: int, n: int, k: int) -> Tuple[int, int]:
-    if not (0 <= check_integer(k, "k") <= MAX_TERMS):
-        raise InputError("k must be between 0 and %d, got %r" % (MAX_TERMS, k))
-    if check_integer(m, "numerator") < 1:
-        raise InputError("numerator must be >= 1, got %r" % (m,))
-    if check_integer(n, "denominator") < 1:
-        raise InputError("denominator must be >= 1, got %r" % (n,))
+    check_integer(k, "k", 0, MAX_TERMS)
+    check_integer(m, "numerator", 1)
+    check_integer(n, "denominator", 1)
     return reduce_fraction(m, n)
 
 
@@ -162,8 +159,8 @@ def iter_raw_solutions(m: int, n: int, k: int, divisor_tail: bool = True) -> Ite
 
 def _collect(m: int, n: int, k: int, cap, walk) -> EnumerationResult:
     p, q = _check_query(m, n, k)
-    if cap is not None and check_integer(cap, "cap") < 0:
-        raise InputError("cap must be >= 0, got %d" % cap)
+    if cap is not None:
+        check_integer(cap, "cap", 0)
     frac = Fraction(p, q)
     sols: List[SolutionTuple] = []
     complete = True

@@ -38,8 +38,15 @@ class UnclearedDenominatorError(InputError, ArithmeticError):
     """Combining inequalities left a fractional coefficient uncleared."""
 
 
-def check_integer(value, name: str) -> int:
-    """`value` if it is an int and not a bool, else InputError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError("%s must be an integer, got %r" % (name, value))
+def check_integer(value, name: str, least: int | None = None,
+                  most: int | None = None) -> int:
+    """`value` if an int, not a bool, in [least, most]; else InputError."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)
+            or (most is not None and value > most)):
+        bounds = " and ".join("%s %d" % (op, bound) for op, bound
+                              in ((">=", least), ("<=", most))
+                              if bound is not None)
+        raise InputError("%s must be an integer%s, got %r"
+                         % (name, bounds and " " + bounds, value))
     return value

@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Tuple
 
+from .errors import InputError
+
 # Quotient-parameter conventions: "standard" divides the pair sum
 # term_i + term_j by d_ij * x_kl * x_ij (always integral on solutions);
 # "reduced" divides by one extra factor of x_kl (not always integral).
@@ -62,12 +64,16 @@ CONTAINING = {
 
 
 def params_to_mask(names: Iterable[str]) -> int:
+    """Bitmask of parameter names; InputError on a str or an unknown name."""
+    if isinstance(names, str):
+        raise InputError("parameter set %r is a string, not a collection"
+                         " of parameter names" % names)
     mask = 0
     for p in names:
         try:
             mask |= 1 << PARAM_INDEX[p]
-        except KeyError:
-            raise ValueError("unknown parameter %r" % (p,)) from None
+        except (KeyError, TypeError):
+            raise InputError("unknown parameter %r" % (p,)) from None
     return mask
 
 
@@ -97,8 +103,6 @@ def quotient_divisor(J: Tuple[int, ...], convention: str) -> Tuple[str, ...]:
 
 def check_convention(convention: str) -> str:
     if convention not in CONVENTIONS:
-        from .errors import InputError
-
         raise InputError(
             "unknown z-convention %r (expected one of %s)"
             % (convention, "/".join(CONVENTIONS))

@@ -38,7 +38,7 @@ from .decomposition import (INCOMPARABLE_PAIRS, PATTERN_ARGS, X_VALUES,
                             function_source, layered_gcds, pattern_data,
                             product_expr, quotient_lines)
 from .enumeration import iter_raw_solutions
-from .errors import InputError, check_integer
+from .errors import check_integer
 from .params import check_convention
 
 _CHECKER_NAME = "_check_solution"
@@ -156,12 +156,10 @@ def sweep_soundness(
     given, is called after each n with (n, report-so-far).
     """
     check_convention(convention)
-    if check_integer(n_max, "n_max") < 1:
-        raise InputError("n_max must be positive, got %d" % n_max)
-    if check_integer(m_factor, "m_factor") < 1:
-        raise InputError("m_factor must be positive, got %d" % m_factor)
-    if fail_limit is not None and check_integer(fail_limit, "fail_limit") < 1:
-        raise InputError("fail_limit must be positive, got %d" % fail_limit)
+    check_integer(n_max, "n_max", 1)
+    check_integer(m_factor, "m_factor", 1)
+    if fail_limit is not None:
+        check_integer(fail_limit, "fail_limit", 1)
     checker = compiled_checker(convention)
     skip_integrality = convention == "reduced"
     report = SweepReport(n_max=n_max, m_factor=m_factor,

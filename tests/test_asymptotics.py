@@ -164,6 +164,39 @@ def test_regime_formula_is_its_regions_and_attains_best(c):
     assert formula.n_exp(c) == best_value(c)
 
 
+def test_non_integer_arguments_are_input_errors():
+    for bad in (2.5, True, "3"):
+        calls = ((lambda: fk_exponent(bad), "k"), (lambda: fk_bound(bad), "k"),
+                 (lambda: fk_bound(5, bad), "m"),
+                 (lambda: fk_bound(5, 1, bad), "n"),
+                 (lambda: bound_report(bad, 10), "m"),
+                 (lambda: bound_report(2, bad), "n"),
+                 (lambda: lift_report(bad), "n_max"))
+        for call, name in calls:
+            with pytest.raises(InputError, match=name + " must be an integer"):
+                call()
+    # whole floats were read as their value before
+    state = sylvester(Fraction(1, 10 ** 7))
+    for call in (lambda: fk_bound(5.0), lambda: lift_report(2.0),
+                 lambda: state.decimal_prefix(2.0)):
+        with pytest.raises(InputError):
+            call()
+
+
+def test_non_rational_arguments_are_input_errors():
+    for bad in (float("inf"), float("-inf"), float("nan"), None, True, "c"):
+        with pytest.raises(InputError, match="c must be a rational number"):
+            regime(bad)
+        with pytest.raises(InputError,
+                           match="target width must be a rational number"):
+            sylvester(bad)
+    # range checks stay as they were
+    with pytest.raises(InputError, match=r"c must lie in \[0, 1\]"):
+        regime(2)
+    with pytest.raises(InputError, match="target width must be positive"):
+        sylvester(-1)
+
+
 def test_bound_report_validation():
     with pytest.raises(InputError):
         bound_report(0, 10)

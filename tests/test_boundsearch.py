@@ -727,6 +727,11 @@ def test_witness_roundtrip_and_tamper_detection(budget_nine):
     fractional = dict(line, combination=dict(line["combination"], z234=1.5))
     with pytest.raises(InputError, match="malformed witness"):
         replay_witness(fractional)
+    # a base given as a str is refused whole, not read as its letters
+    spelled = dict(line, partition=dict(line["partition"], bases=[
+        " ".join(base) for base in line["partition"]["bases"]]))
+    with pytest.raises(InputError, match="is a string"):
+        replay_witness(spelled)
 
 
 def test_witness_json_is_deterministic():
@@ -832,6 +837,19 @@ def test_counts_exponents_and_sizes_must_be_integers():
     assert pattern_reductions({"n1": Count(1), "n2": 1, "d12": 1}) == (
         1, (("n1", "n2", "d12"),))
     assert pattern_reductions({"n1": Count(0), "n2": 1, "d12": 1}) == (0, ())
+    # the message names the argument, a str is no integer either
+    for bad in (2.5, True, "3"):
+        calls = ((lambda: partition(lhs, bad), "g"),
+                 (lambda: max_feasible_g(lhs, bad), "g_max"),
+                 (lambda: search(bad), "budget"),
+                 (lambda: search(2, g_max=bad), "g_max"),
+                 (lambda: search(2, node_limit=bad), "node_limit"),
+                 (lambda: partition(dict(lhs, x23=bad), 1), "x23"),
+                 (lambda: normalize_combination({"t1": bad}), "t1"),
+                 (lambda: pattern_reductions({"n1": bad}), "n1"))
+        for call, name in calls:
+            with pytest.raises(InputError, match=name + " must be an integer"):
+                call()
 
 
 def test_search_rejects_bad_library():

@@ -532,6 +532,15 @@ def test_sylvester_rejects_bad_width(capsys):
     assert run(capsys, "sylvester", "--width", "0")[0] == 1
 
 
+def test_sylvester_refuses_width_past_printable_digits(capsys):
+    # the last u_k at this width has more digits than str() prints by default
+    for extra in ((), ("--json",)):
+        rc, out, err = run(capsys, "sylvester", "--width", "1e-3500", *extra)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: width 1e-3500 ") and err.count("\n") == 1
+        assert "%d digits" % sys.get_int_max_str_digits() in err
+
+
 def test_lift_report_json(capsys):
     rc, out, _ = run(capsys, "lift-report", "--nmax", "2", "--json")
     assert rc == 0

@@ -16,6 +16,7 @@ from unitfrac.closure import (
     minimal_defining_sets,
     sort_sets,
 )
+from unitfrac.errors import InputError
 
 ALL_PARAMS = frozenset(P.PARAM_ORDER)
 
@@ -47,6 +48,23 @@ def test_not_defining_examples():
     # triple is not unless the pair sits inside the triple
     assert is_defining({"z12", "z34"})
     assert not is_defining({"z12", "z234"})
+
+
+def test_non_integer_arguments_are_input_errors():
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InputError, match="max_size must be an integer"):
+            minimal_defining_sets(bad)
+    with pytest.raises(InputError, match="max_size must be an integer"):
+        minimal_defining_sets(P.N_PARAMS + 1)
+
+
+def test_parameter_set_given_as_a_string_is_refused():
+    for call in (closure, is_defining, closure_report):
+        with pytest.raises(InputError, match="'z12'"):
+            call("z12")
+        with pytest.raises(InputError, match="unknown parameter 'q1'"):
+            call({"q1"})
+        assert call(("z12", "z34")) == call({"z12", "z34"})
 
 
 def test_minimal_sets_size_two():

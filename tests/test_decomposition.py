@@ -130,6 +130,30 @@ def test_input_validation():
         decompose((2, 4, 6, 12), 1, convention="other")
 
 
+def test_non_integer_arguments_are_input_errors():
+    bads = [2.5, True, "3"]
+    try:
+        import numpy
+    except ImportError:  # numpy is not a dependency
+        pass
+    else:
+        bads.append(numpy.int64(2))
+    for bad in bads:
+        with pytest.raises(InputError,
+                           match=r"denominators\[0\] must be an integer"):
+            decompose((bad, 4, 6, 12), 1)
+        with pytest.raises(InputError,
+                           match=r"denominators\[0\] must be an integer"):
+            pattern_of((bad, 4, 6, 12), 5)
+        with pytest.raises(InputError, match="n must be an integer >= 1"):
+            pattern_of((2, 4, 6, 12), bad)
+        with pytest.raises(InputError, match=r"t\[0\] must be an integer"):
+            relative_gcds((bad, 4, 6, 12))
+    # a float that happens to be whole is refused too, not truncated
+    with pytest.raises(InputError):
+        relative_gcds((2.0, 4, 6, 12))
+
+
 # Numbers built from small primes share factors often, so the gcd lattice of
 # four of them has many nontrivial layers; plain integers rarely do.
 _SMOOTH = st.lists(st.sampled_from((2, 3, 5, 7)), max_size=12).map(math.prod)

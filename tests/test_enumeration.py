@@ -186,3 +186,11 @@ def test_non_integer_arguments_are_input_errors():
                     call(*args)
         with pytest.raises(InputError, match="cap must be an integer"):
             enumerate_representations(3, 7, 3, cap=bad)
+    # the message names the argument, a str is no integer either
+    for bad in (2.5, True, "3"):
+        for args, name in (((bad, 7, 3), "numerator"),
+                           ((3, bad, 3), "denominator"), ((3, 7, bad), "k")):
+            with pytest.raises(InputError, match=name + " must be an integer"):
+                count_representations(*args)
+        with pytest.raises(InputError, match="cap must be an integer >= 0"):
+            enumerate_naive(3, 7, 3, cap=bad)

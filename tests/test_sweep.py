@@ -172,6 +172,11 @@ def test_sweep_rejects_non_integer_arguments():
                        {"n_max": 3, "fail_limit": bad}):
             with pytest.raises(InputError, match="must be an integer"):
                 sweep_soundness(**kwargs)
+    for bad in (2.5, True, "3"):
+        for name in ("n_max", "m_factor", "fail_limit"):
+            with pytest.raises(InputError,
+                               match=name + " must be an integer >= 1"):
+                sweep_soundness(**{"n_max": 3, name: bad})
 
 
 def test_fail_limit_marks_sweep_incomplete(monkeypatch):
