@@ -607,6 +607,15 @@ def test_walk_source_nests_one_loop_per_row(monkeypatch):
         boundsearch.walk_source()
 
 
+def test_walk_source_is_pinned():
+    # the generated walk, byte for byte: a rewrite of the generator must
+    # emit the same source, so the compiled search stays the same code
+    source = boundsearch.walk_source()
+    assert len(source.splitlines()) == 444
+    assert hashlib.sha256(source.encode()).hexdigest() == (
+        "0868001616f046aca3194ee0850dc48fddc4f3e47fbc284cc5e0328d46edc2b7")
+
+
 @pytest.mark.parametrize("depth, compiles", [(20, True), (21, False)])
 def test_cpython_limits_statically_nested_loops(depth, compiles):
     # the limit the walk's guard states; it fails at compile time
