@@ -44,13 +44,8 @@ Combination = Mapping[str, int]
 TEMPLATE_ORDER: Tuple[str, ...] = tuple(t.key for t in build_inequalities())
 _TEMPLATE_POS = {key: i for i, key in enumerate(TEMPLATE_ORDER)}
 
-_PARAM_ORDER = P.PARAM_ORDER
-_PARAM_POS = {p: i for i, p in enumerate(_PARAM_ORDER)}
-_NPARAMS = len(_PARAM_ORDER)
-
 # pattern-factor symbols, in display order
-_SYMBOL_ORDER: Tuple[str, ...] = P.PATTERN_SYMBOLS
-_SYMBOL_POS = {s: i for i, s in enumerate(_SYMBOL_ORDER)}
+_SYMBOL_POS = {s: i for i, s in enumerate(P.PATTERN_SYMBOLS)}
 
 
 def normalize_combination(combination: Combination) -> Dict[str, int]:
@@ -90,7 +85,7 @@ class MonomialInequality:
     def left_str(self) -> str:
         parts = [_format_power(p, e)
                  for p, e in sorted(self.exponents.items(),
-                                    key=lambda kv: _PARAM_POS[kv[0]])]
+                                    key=lambda kv: P.PARAM_INDEX[kv[0]])]
         return "*".join(parts) if parts else "1"
 
     def bound_str(self) -> str:
@@ -123,7 +118,7 @@ def combine(combination: Combination) -> MonomialInequality:
     if not combo:
         raise InputError("combination must use at least one template")
     index = inequality_index()
-    exponents = [0] * _NPARAMS
+    exponents = [0] * P.N_PARAMS
     pattern: Dict[str, int] = {}
     constant = 1
     n_exp = 0
@@ -131,9 +126,9 @@ def combine(combination: Combination) -> MonomialInequality:
     for key, mult in combo.items():
         tmpl = index[key]
         for p, e in tmpl.lhs.items():
-            exponents[_PARAM_POS[p]] += e * mult
+            exponents[P.PARAM_INDEX[p]] += e * mult
         for p, e in tmpl.rhs.items():
-            exponents[_PARAM_POS[p]] -= e * mult
+            exponents[P.PARAM_INDEX[p]] -= e * mult
         for s, e in tmpl.pattern.items():
             pattern[s] = pattern.get(s, 0) + e * mult
         constant *= tmpl.constant ** mult
@@ -143,11 +138,11 @@ def combine(combination: Combination) -> MonomialInequality:
         if e < 0:
             raise UnclearedDenominatorError(
                 "exponent of %s is %d after clearing; add cofactor-size "
-                "templates" % (_PARAM_ORDER[pos], e)
+                "templates" % (P.PARAM_ORDER[pos], e)
             )
     return MonomialInequality(
         combination=combo,
-        exponents={_PARAM_ORDER[i]: e for i, e in enumerate(exponents) if e},
+        exponents={P.PARAM_ORDER[i]: e for i, e in enumerate(exponents) if e},
         constant=constant,
         n_exp=n_exp,
         m_exp=m_exp,
@@ -255,7 +250,7 @@ def pattern_reductions(
             raise InputError("unknown pattern symbol %r" % s)
         if not (type(c) is int and c >= 0):  # a plain count skips the call
             check_integer(c, s, 0)
-    counts = [pattern.get(s, 0) for s in _SYMBOL_ORDER]
+    counts = [pattern.get(s, 0) for s in P.PATTERN_SYMBOLS]
     # no other instance holds an instance's d-symbol, so one without it
     # can never apply; each instance takes one d-symbol and at least two
     # n-symbols, which bounds the count of any matching
@@ -318,8 +313,8 @@ _COVERS: Tuple[Tuple[str, str], ...] = (
 # each cover as (position, doubled weight) pairs, in position order
 _Cover = Tuple[Tuple[int, int], ...]
 _COVER_WEIGHTS: Tuple[_Cover, ...] = tuple(
-    tuple(sorted([(_PARAM_POS[p], 2) for p in ones.split()]
-                 + [(_PARAM_POS[p], 1) for p in halves.split()]))
+    tuple(sorted([(P.PARAM_INDEX[p], 2) for p in ones.split()]
+                 + [(P.PARAM_INDEX[p], 1) for p in halves.split()]))
     for ones, halves in _COVERS)
 # (supports, sets, covers) of one library, as `_library_supports` returns it
 _Checked = Tuple[Tuple[Tuple[int, ...], ...], Tuple[FrozenSet[str], ...],
@@ -359,7 +354,7 @@ def _checked_library(sets: Tuple[FrozenSet[str], ...]) -> _Checked:
             raise InputError(
                 "library set %s is not defining; partitions over it"
                 " would certify nothing" % sorted(s))
-    supports = tuple(tuple(sorted(_PARAM_POS[p] for p in s)) for s in sets)
+    supports = tuple(tuple(sorted(P.PARAM_INDEX[p] for p in s)) for s in sets)
     covers = tuple(cover for cover in _COVER_WEIGHTS
                    if all(sum(w for pos, w in cover if pos in support) >= 2
                           for support in supports))
@@ -401,11 +396,11 @@ class Partition:
 
 
 def _exponent_vector(lhs: Mapping[str, int]) -> List[int]:
-    vec = [0] * _NPARAMS
+    vec = [0] * P.N_PARAMS
     for p, e in lhs.items():
-        if p not in _PARAM_POS:
+        if p not in P.PARAM_INDEX:
             raise InputError("unknown parameter %r" % p)
-        vec[_PARAM_POS[p]] += check_integer(e, p, 0)
+        vec[P.PARAM_INDEX[p]] += check_integer(e, p, 0)
     return vec
 
 
@@ -414,9 +409,9 @@ def _partition_of(vec: Sequence[int], bases: Sequence[FrozenSet[str]]) -> Partit
     left = list(vec)
     for base in bases:
         for p in base:
-            left[_PARAM_POS[p]] -= 1
+            left[P.PARAM_INDEX[p]] -= 1
     return Partition(bases=tuple(bases), leftover={
-        _PARAM_ORDER[i]: v for i, v in enumerate(left) if v})
+        P.PARAM_ORDER[i]: v for i, v in enumerate(left) if v})
 
 
 def partition(
@@ -577,7 +572,7 @@ class _Frontier:
 # Adding rows multiplies templates, so a row sum is the combined
 # inequality before its pattern is simplified.  A row is stored sparse, as
 # its nonzero (position, value) pairs in position order.
-_N_COL = _NPARAMS + len(_SYMBOL_ORDER)
+_N_COL = P.N_PARAMS + len(P.PATTERN_SYMBOLS)
 _M_COL = _N_COL + 1
 _DSUM_COL = _M_COL + 1
 _NSUM_COL = _DSUM_COL + 1
@@ -586,39 +581,26 @@ _NSUM_COL = _DSUM_COL + 1
 def _template_row(tmpl: InequalityTemplate) -> Tuple[Tuple[int, int], ...]:
     row = [0] * (_NSUM_COL + 1)
     for p, e in tmpl.lhs.items():
-        row[_PARAM_POS[p]] += e
+        row[P.PARAM_INDEX[p]] += e
     for p, e in tmpl.rhs.items():
-        row[_PARAM_POS[p]] -= e
+        row[P.PARAM_INDEX[p]] -= e
     for s, e in tmpl.pattern.items():
-        row[_NPARAMS + _SYMBOL_POS[s]] += e
+        row[P.N_PARAMS + _SYMBOL_POS[s]] += e
         row[_NSUM_COL if _SYMBOL_POS[s] < _FIRST_D else _DSUM_COL] += e
     row[_N_COL] = tmpl.n_exp
     row[_M_COL] = -tmpl.m_exp
     return tuple((pos, v) for pos, v in enumerate(row) if v)
 
 
-_ROWS = tuple((t.key, _template_row(t)) for t in build_inequalities())
+_ROWS = tuple(_template_row(t) for t in build_inequalities())
 
 # every template constant is at least this
 _MIN_CONSTANT = min(t.constant for t in build_inequalities())
-# the most one template adds to any parameter exponent
-_STEP = max(v for _, row in _ROWS for pos, v in row if pos < _NPARAMS)
 # the most parameter occurrences one template adds (t1-t3 add 7 each)
-_MOST_ADDED = max(sum(v for pos, v in row if pos < _NPARAMS and v > 0)
-                  for _, row in _ROWS)
-# the parameter positions some template lowers: only these can go negative
-_DEFICIT_POS = tuple(sorted({pos for _, row in _ROWS for pos, v in row
-                             if pos < _NPARAMS and v < 0}))
-# the last template that raises each position
-_LAST_RAISER = {pos: i for i, (_, row) in enumerate(_ROWS)
-                for pos, v in row if v > 0}
-# per template, the (deficit position, step) pairs no later template
-# raises: its multiplicity alone must clear those
-_CLEARS = tuple(tuple((pos, v) for pos, v in row
-                      if pos in _DEFICIT_POS and _LAST_RAISER[pos] == i)
-                for i, (_, row) in enumerate(_ROWS))
+_MOST_ADDED = max(sum(v for pos, v in row if pos < P.N_PARAMS and v > 0)
+                  for row in _ROWS)
 # (row position, symbol) of each pattern symbol
-_SYMBOL_COLS = tuple(enumerate(_SYMBOL_ORDER, _NPARAMS))
+_SYMBOL_COLS = tuple(enumerate(P.PATTERN_SYMBOLS, P.N_PARAMS))
 
 
 def _add_lines(row, times: Optional[str], sign: int = 1) -> List[str]:
@@ -627,6 +609,10 @@ def _add_lines(row, times: Optional[str], sign: int = 1) -> List[str]:
                             else times if abs(v) == 1
                             else "%d * %s" % (abs(v), times))
             for pos, v in row]
+
+
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
 
 
 def walk_source() -> str:
@@ -641,40 +627,21 @@ def walk_source() -> str:
     runs the optimistic pre-check: its pair (A, B) is decided when it is
     in the set `decided`, or when every g's key is covered, and then joins
     that set.  Only an undecided leaf calls `candidate(multiplicities,
-    row)`.  Returns (examined, skipped, complete).
+    row)`.  Returns (examined, skipped, complete).  The source is built
+    from the leaf outwards, one row's loop around the next.
     """
     if len(_ROWS) + 1 > 20:  # the rows' loops and the leaf's
         raise InvariantError("%d template rows need %d nested loops; CPython"
                              " compiles at most 20"
                              % (len(_ROWS), len(_ROWS) + 1))
     cols = ["c%d" % pos for pos in range(_NSUM_COL + 1)]
-    body = [(0, "examined = skipped = 0"), (0, " = ".join(cols) + " = 0"),
-            (0, "r0 = budget")]
-    floor = " or ".join("c%d < _f" % pos for pos in _DEFICIT_POS)
-    tails = []  # per loop: its depth, its last lines, the lines after it
-    depth = 0
-    for i, (_, row) in enumerate(_ROWS):
-        k, r = "k%d" % i, "r%d" % i
-        body.append((depth, "%s = 0" % k))
-        if _CLEARS[i]:  # k<i> must clear what no later row raises
-            for pos, v in _CLEARS[i]:
-                body += [(depth, "_m = -(c%d // %d)" % (pos, v)),
-                         (depth, "if _m > %s: %s = _m" % (k, k))]
-            body.append((depth, "if %s <= %s:" % (k, r)))
-            depth += 1
-            body += [(depth, line) for line in _add_lines(row, k)]
-        body.append((depth, "while True:"))
-        if i + 1 < len(_ROWS):
-            body.append((depth + 1, "r%d = %s - %s" % (i + 1, r, k)))
-        # a later row adds at most _STEP to an exponent, so one under this
-        # floor cannot be cleared, nor with another copy of this row
-        tails.append((depth, ["if %s == %s: break" % (k, r), "%s += 1" % k,
-                              *_add_lines(row, None),
-                              "_f = (%s - %s) * %d" % (k, r, _STEP),
-                              "if %s: break" % floor],
-                      _add_lines(row, k, -1)))
-        depth += 1
-    body += [(depth, line) for line in [
+    params = [(pos, v) for row in _ROWS for pos, v in row if pos < P.N_PARAMS]
+    # the most one row adds to a parameter exponent
+    step = max(v for _, v in params)
+    # the parameter positions some row lowers: only these can go negative
+    deficit = sorted({pos for pos, v in params if v < 0})
+    floor = " or ".join("c%d < _f" % pos for pos in deficit)
+    body = [
         "if examined == node_limit:", "    return examined, skipped, False",
         "examined += 1",
         "_a = c%d - min(c%d, c%d // 2)" % (_N_COL, _DSUM_COL, _NSUM_COL),
@@ -686,14 +653,35 @@ def walk_source() -> str:
         "            candidate((%s,), [%s])" % (
             ", ".join("k%d" % i for i in range(len(_ROWS))), ", ".join(cols)),
         "            break",
-        "    else:", "        decided.add(_p)", "        skipped += 1"]]
-    for loop_depth, last, after in reversed(tails):
-        body += [(loop_depth + 1, line) for line in last]
-        body += [(loop_depth, line) for line in after]
-    body.append((0, "return examined, skipped, True"))
+        "    else:", "        decided.add(_p)", "        skipped += 1"]
+    raised = set()  # the positions the rows wrapped so far raise
+    for i in reversed(range(len(_ROWS))):
+        row, k, r = _ROWS[i], "k%d" % i, "r%d" % i
+        if i + 1 < len(_ROWS):
+            body.insert(0, "r%d = %s - %s" % (i + 1, r, k))
+        # a later row adds at most `step` to an exponent, so one under
+        # this floor cannot be cleared, nor with another copy of this row
+        body = ["while True:", *_indent(body),
+                *_indent(["if %s == %s: break" % (k, r), "%s += 1" % k,
+                          *_add_lines(row, None),
+                          "_f = (%s - %s) * %d" % (k, r, step),
+                          "if %s: break" % floor]),
+                *_add_lines(row, k, -1)]
+        # k<i> alone must clear the deficits no later row raises
+        clears = [(pos, v) for pos, v in row
+                  if v > 0 and pos in deficit and pos not in raised]
+        raised.update(pos for pos, v in row if v > 0)
+        if clears:
+            body = [line for pos, v in clears
+                    for line in ("_m = -(c%d // %d)" % (pos, v),
+                                 "if _m > %s: %s = _m" % (k, k))] + [
+                "if %s <= %s:" % (k, r),
+                *_indent(_add_lines(row, k) + body)]
+        body.insert(0, "%s = 0" % k)
+    body = ["examined = skipped = 0", " = ".join(cols) + " = 0",
+            "r0 = budget", *body, "return examined, skipped, True"]
     return ("def _walk(budget, node_limit, steps, covered, decided,"
-            " candidate):\n"
-            + "".join("    " * (d + 1) + line + "\n" for d, line in body))
+            " candidate):\n" + "".join("    %s\n" % line for line in body))
 
 
 @lru_cache(maxsize=None)
@@ -752,7 +740,7 @@ def search(
     def candidate(mults: Tuple[int, ...], row: List[int]) -> None:
         """Score a combination the walk's pre-check left undecided."""
         b_total = row[_M_COL]
-        vec = row[:_NPARAMS]
+        vec = row[:P.N_PARAMS]
         raw_pattern = {s: row[pos] for pos, s in _SYMBOL_COLS if row[pos]}
         q, apps = pattern_reductions(raw_pattern)
         a_total = row[_N_COL] - q
@@ -774,7 +762,7 @@ def search(
             combo = {k: m for k, m in zip(TEMPLATE_ORDER, mults) if m}
             raw = MonomialInequality(
                 combination=combo,
-                exponents={_PARAM_ORDER[i]: v for i, v in enumerate(vec) if v},
+                exponents={P.PARAM_ORDER[i]: v for i, v in enumerate(vec) if v},
                 constant=prod(index[k].constant ** m for k, m in combo.items()),
                 n_exp=row[_N_COL],
                 m_exp=b_total,
