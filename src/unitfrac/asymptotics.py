@@ -220,8 +220,8 @@ def bound_report(m: int, n: int) -> BoundReport:
             for f in FORMULAS
         )
     except OverflowError:
-        raise InputError("n is too large (%d digits): the bound magnitudes"
-                         " do not fit a float" % len(str(n)))
+        raise InputError("n is too large (%d bits): the bound magnitudes"
+                         " do not fit a float" % n.bit_length())
     return BoundReport(m=m, n=n, c_float=c_float, region=region,
                        formula=formula, values=values)
 

@@ -661,11 +661,11 @@ def walk_source() -> str:
             body.insert(0, "r%d = %s - %s" % (i + 1, r, k))
         # a later row adds at most `step` to an exponent, so one under
         # this floor cannot be cleared, nor with another copy of this row
-        body = ["while True:", *_indent(body),
-                *_indent(["if %s == %s: break" % (k, r), "%s += 1" % k,
-                          *_add_lines(row, None),
-                          "_f = (%s - %s) * %d" % (k, r, step),
-                          "if %s: break" % floor]),
+        body = ["while True:",
+                *_indent(body + ["if %s == %s: break" % (k, r), "%s += 1" % k,
+                                 *_add_lines(row, None),
+                                 "_f = (%s - %s) * %d" % (k, r, step),
+                                 "if %s: break" % floor]),
                 *_add_lines(row, k, -1)]
         # k<i> alone must clear the deficits no later row raises
         clears = [(pos, v) for pos, v in row

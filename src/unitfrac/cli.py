@@ -17,6 +17,7 @@ import argparse
 import decimal
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence
@@ -272,16 +273,32 @@ def _format_width(width: Fraction) -> str:
             (decimal.Decimal(width.numerator) / width.denominator).normalize())
 
 
+def _width_too_long(text: str, limit: int) -> bool:
+    """Whether a width's text alone needs an integer of more than `limit`
+    digits: a decimal exponent of at least `limit`, or a longer digit run.
+    Read without building the width, which such a text makes huge."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        exponent = abs(int(exponent or 0))
+    except ValueError:  # not an exponent: `sylvester` says what is wrong
+        return False
+    return exponent >= limit or any(
+        len(run) > limit for run in re.findall(r"\d+", mantissa))
+
+
 def _cmd_sylvester(args) -> int:
     from . import asymptotics as asym
-    state = asym.sylvester(args.width)
-    lo, hi = state.bracket
     # str() refuses integers longer than this (no limit before 3.10.7)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = InputError("width %s needs integers of more than %d digits,"
+                          " the printable limit" % (args.width, limit))
+    if limit and _width_too_long(args.width, limit):
+        raise too_long
+    state = asym.sylvester(args.width)
+    lo, hi = state.bracket
     if limit and max(max(v.numerator, v.denominator) for v in (
             state.u[-1], lo, hi, state.width)) >= 10 ** limit:
-        raise InputError("width %s needs integers of more than %d digits, the"
-                         " printable limit" % (args.width, limit))
+        raise too_long
     digits = 0
     while digits < 12 and state.decimal_prefix(digits + 1) is not None:
         digits += 1

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from . import params as P
-from .catalog import ClosureRule, build_rules
 from .errors import check_integer
+
+if TYPE_CHECKING:
+    from .catalog import ClosureRule
 
 ParamSet = FrozenSet[str]
 
@@ -61,6 +63,7 @@ class CompiledRules:
 
 @lru_cache(maxsize=None)
 def _default_compiled(convention: str) -> CompiledRules:
+    from .catalog import build_rules
     return CompiledRules(build_rules(convention))
 
 

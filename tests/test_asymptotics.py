@@ -204,6 +204,9 @@ def test_bound_report_validation():
         bound_report(11, 10)
     with pytest.raises(InputError):
         bound_report(1, 1)
+    # past the int-to-str limit, the overflow message states n in bits
+    with pytest.raises(InputError, match="too large"):
+        bound_report(2, 10**5000)
 
 
 def test_fk_exponents_double_per_term():

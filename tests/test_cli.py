@@ -539,6 +539,15 @@ def test_sylvester_refuses_width_past_printable_digits(capsys):
         assert rc == 1 and out == ""
         assert err.startswith("error: width 1e-3500 ") and err.count("\n") == 1
         assert "%d digits" % sys.get_int_max_str_digits() in err
+    # read from the text: refused before the enclosure or the width is built
+    for width in ("1e-100000", "1e-999999999"):
+        for extra in ((), ("--json",)):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "sylvester", "--width", width, *extra)
+            assert time.perf_counter() - start < 2
+            assert rc == 1 and out == ""
+            assert err.startswith("error: width %s " % width)
+            assert err.count("\n") == 1
 
 
 def test_lift_report_json(capsys):

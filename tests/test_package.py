@@ -51,6 +51,9 @@ def test_count_loads_no_search_sweep_or_asymptotics():
     cli = set(fresh(RUN_CLI, "count", "1", "1", "4"))
     assert "enumeration" in cli
     assert not cli & HEAVY
+    # closure, which the package binds, loads the catalog on first use
+    assert "catalog" not in (
+        loaded_by("from unitfrac import count_representations") | cli)
 
 
 def test_help_loads_no_enumeration():
