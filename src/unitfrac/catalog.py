@@ -300,10 +300,6 @@ class InequalityTemplate:
             right *= env[p] ** e
         return left, right
 
-    def evaluate(self, env: Env) -> bool:
-        left, right = self.evaluate_sides(env)
-        return left <= right
-
 
 @lru_cache(maxsize=None)
 def build_inequalities() -> Tuple[InequalityTemplate, ...]:

@@ -6,9 +6,9 @@ of a soundness check, not a crash).  A closed stdout (the reader of a
 pipe exited) ends the run with 1 and nothing on stderr, never 0, so a
 cut-off run is not read as a complete one.  All JSON output is
 line-delimited with sorted keys, so identical inputs produce
-byte-identical output; the exception is the `search --stats` line on
-stderr, whose key order is fixed and which, like the `elapsed` field of
-`sweep --json`, carries a time.
+byte-identical output; the exceptions are the `--stats` lines of `search`
+and `sweep` on stderr, whose key order is fixed, and the search's line
+carries a time.
 """
 
 from __future__ import annotations
@@ -356,6 +356,8 @@ def _cmd_sweep(args) -> int:
         fail_limit=args.fail_limit,
         progress=progress if not args.quiet else None,
     )
+    if args.stats:
+        print(json.dumps(report.stats), file=sys.stderr)
     if args.json:
         print(_json_line({
             "complete": report.complete,
@@ -510,6 +512,9 @@ def build_parser() -> _Parser:
     p.add_argument("--fail-limit", type=int, default=None)
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-n progress on stderr")
+    p.add_argument("--stats", action="store_true",
+                   help="print the walk's node and solution counts as one"
+                        " JSON line on stderr")
     _add_convention(p)
     _add_json(p)
     p.set_defaults(func=_cmd_sweep)

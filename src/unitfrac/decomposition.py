@@ -86,9 +86,12 @@ def pattern_data(n: int, pattern: Tuple[int, ...]) -> Tuple[int, ...]:
     )
 
 
-def _layered_gcd_lines() -> List[str]:
-    # From x1234 down the subset lattice: x_J is gcd(t_i : i in J) with the
-    # x_K of all strict supersets K of J, each computed before J, divided out.
+def layered_gcd_lines() -> List[str]:
+    """Statements binding every x_J from t1..t4, then returning X_VALUES.
+
+    From x1234 down the subset lattice: x_J is gcd(t_i : i in J) with the
+    x_K of all strict supersets K of J, each computed before J, divided out.
+    """
     layers = (P.QUAD,) + P.TRIPLES + P.PAIRS + tuple((i,) for i in P.INDICES)
     lines: List[str] = []
     for J in layers:
@@ -106,7 +109,7 @@ def _layered_gcd_lines() -> List[str]:
 
 
 layered_gcds: Callable[..., Tuple[int, ...]] = _define(
-    "layered_gcds", ("t1", "t2", "t3", "t4"), _layered_gcd_lines(),
+    "layered_gcds", ("t1", "t2", "t3", "t4"), layered_gcd_lines(),
     {"_gcd": math.gcd, "_InvariantError": InvariantError},
 )
 

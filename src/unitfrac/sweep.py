@@ -15,13 +15,18 @@ passes the first and fourth checks.  The test
 `test_every_rule_follows_from_master_and_quotient_definitions` in
 tests/test_catalog.py proves this symbolically under both conventions.
 
-The hot loop runs a checker compiled once per convention from the same
-quotient lines that `decompose()` runs and from the inequality templates
-in `catalog`; the compiled function works on flat local integers.  Under
-the "reduced" convention the pair quotients are not always integral; such
-solutions carry no decomposition to check and are counted as skipped
-rather than failed.  `decomposition.verify` is the one-solution form: it
-reports the same check keys and stops where this checker stops.
+The checks are one function body, `checker_source(convention)`, built
+from the same quotient lines that `decompose()` runs and from the
+inequality templates in `catalog`.  `compiled_checker` compiles it alone,
+for one solution at a time.  The sweep runs it inside a walk compiled once
+per convention (`walk_source`): the enumeration's loops over a1 and a2 and
+its divisor tail for (a3, a4), with each pattern value computed in the
+loop where its inputs are known, and the layered gcds and the checker's
+body inlined at the leaf on local integers.  Under the "reduced"
+convention the pair quotients are not always integral; such solutions
+carry no decomposition to check and are counted as skipped rather than
+failed.  `decomposition.verify` is the one-solution form: it reports the
+same check keys and stops where this checker stops.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import params as P
 from .catalog import InequalityTemplate, build_inequalities
-from .decomposition import (INCOMPARABLE_PAIRS, PATTERN_ARGS, X_VALUES,
-                            function_source, layered_gcds, pattern_data,
+from .decomposition import (INCOMPARABLE_PAIRS, PATTERN_ARGS,
+                            function_source, layered_gcd_lines, pattern_data,
                             product_expr, quotient_lines)
-from .enumeration import iter_raw_solutions
-from .errors import check_integer
+from .enumeration import _tail_divisors
+from .errors import InvariantError, check_integer
 from .params import check_convention
 
 _CHECKER_NAME = "_check_solution"
@@ -96,6 +101,128 @@ def compiled_checker(convention: str = "standard") -> Callable:
     return func
 
 
+_WALK_NAME = "_walk"
+
+# The per-fraction counters `SweepReport.stats` adds up, in output order.
+STATS_KEYS = ("a1_nodes", "a2_nodes", "tail_calls", "solutions", "skipped")
+
+# Pattern values the walk's loops compute; the leaf reads the rest of
+# pattern_data from a per-n cache.
+_LOOP_PATTERN = ("n1", "nn1", "n2", "nn2", "d12", "n3", "n4")
+
+
+def _indented(lines: List[str], depth: int = 1) -> List[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _check_block(convention: str) -> List[str]:
+    # The checker's body, one level out, with each `return fails` turned
+    # into a `break` out of the leaf's one-pass `while True:` block.
+    lines: List[str] = []
+    for line in checker_source(convention).splitlines()[1:]:
+        line = line[4:]
+        if line.strip() == "return fails":
+            line = line[:-len("return fails")] + "break"
+        lines.append(line)
+    return lines
+
+
+def walk_source(convention: str = "standard") -> str:
+    """Source of the walk over the 4-term solutions of one reduced m/n.
+
+    `_walk(m, n, patterns, room)` runs the enumeration's loops over a1 and
+    a2 and its divisor tail for (a3, a4), in the same lexicographic order.
+    Each pattern value is computed in the loop where its inputs are known;
+    `patterns`, one dict per n, caches the rest of the pattern data.  At
+    each leaf the layered gcds and the checker's body run on locals, and
+    only a failing check builds the solution tuple, as a SweepFailure.
+    Under "reduced" a non-integral quotient is counted as skipped instead.
+    The walk returns (solutions, skipped, a1 nodes, a2 nodes, failures)
+    as soon as the failures reach `room`, or at the end.
+    """
+    singles = tuple(P.x_name((i,)) for i in P.INDICES)
+    gcds = [line for line in layered_gcd_lines()
+            if not line.startswith("return ")]
+    cached = [i for i, name in enumerate(PATTERN_ARGS)
+              if name not in _LOOP_PATTERN]
+    result = "return solutions, skipped, a1_nodes, a2_nodes, found"
+    failure = "found.append(_Failure(m, n, (a1, a2, a3, a4), key))"
+    if convention == "reduced":
+        record = ["if key[:5] == 'zint:':", "    skipped += 1",
+                  "else:", "    " + failure]
+    else:
+        record = [failure]
+    leaf = [
+        "solutions += 1",
+        "n3 = _gcd(a3, n)",
+        "n4 = _gcd(a4, n)",
+        "t3 = a3 // n3",
+        "t4 = a4 // n4",
+        "data = patterns.get((n1, n2, n3, n4))",
+        "if data is None:",
+        "    data = _pattern_data(n, (n1, n2, n3, n4))",
+        "    data = patterns[n1, n2, n3, n4] = (%s)"
+        % ", ".join("data[%d]" % i for i in cached),
+        "%s = data" % ", ".join(PATTERN_ARGS[i] for i in cached),
+        "while True:",
+    ] + _indented(gcds + [
+        "if %s:" % " or ".join("%s != 1" % x for x in singles),
+        "    fails = [key for key, x in (%s) if x != 1]"
+        % ", ".join("('singleton:%s', %s)" % (x, x) for x in singles),
+        "    break",
+    ] + _check_block(convention)) + [
+        "if fails:",
+        "    for key in fails:",
+    ] + _indented(record, 2) + [
+        "    if len(found) >= room:",
+        "        " + result,
+    ]
+    body = [
+        "found = []",
+        "solutions = skipped = a1_nodes = a2_nodes = 0",
+        "for a1 in range(n // m + 1, 4 * n // m + 1):",
+        "    a1_nodes += 1",
+        "    n1 = _gcd(a1, n)",
+        "    nn1 = n // n1",
+        "    t1 = a1 // n1",
+        "    p1 = m * a1 - n",
+        "    q1 = n * a1",
+        "    g = _gcd(p1, q1)",
+        "    p1 //= g",
+        "    q1 //= g",
+        "    for a2 in range(max(a1, q1 // p1 + 1), 3 * q1 // p1 + 1):",
+        "        a2_nodes += 1",
+        "        n2 = _gcd(a2, n)",
+        "        nn2 = n // n2",
+        "        t2 = a2 // n2",
+        "        d12 = _gcd(nn1, nn2)",
+        "        p2 = p1 * a2 - q1",
+        "        q2 = q1 * a2",
+        "        g = _gcd(p2, q2)",
+        "        p2 //= g",
+        "        q2 //= g",
+        "        qq = q2 * q2",
+        "        for d in sorted(_tail(a2, p2, q2)):",
+        "            a3 = (d + q2) // p2",
+        "            a4 = (qq // d + q2) // p2",
+    ] + _indented(leaf, 3) + [result]
+    return function_source(_WALK_NAME, ("m", "n", "patterns", "room"), body)
+
+
+@lru_cache(maxsize=None)
+def compiled_walk(convention: str = "standard") -> Callable:
+    """Compile the walk for one convention (see walk_source)."""
+    source = walk_source(convention)
+    namespace: Dict[str, object] = {
+        "_gcd": math.gcd, "_tail": _tail_divisors,
+        "_pattern_data": pattern_data, "_Failure": SweepFailure,
+        "_InvariantError": InvariantError}
+    exec(compile(source, "<%s walk>" % convention, "exec"), namespace)
+    func = namespace[_WALK_NAME]
+    func.source = source
+    return func
+
+
 @dataclass(frozen=True)
 class SweepFailure:
     """One failed check on one enumerated solution."""
@@ -123,6 +250,9 @@ class SweepReport:
     failures: List[SweepFailure] = field(default_factory=list)
     elapsed: float = 0.0
     complete: bool = True  # False when fail_limit stopped the sweep
+    # per-fraction counters of the walk, keys in STATS_KEYS order
+    stats: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(STATS_KEYS, 0))
 
     @property
     def ok(self) -> bool:
@@ -160,46 +290,42 @@ def sweep_soundness(
     check_integer(m_factor, "m_factor", 1)
     if fail_limit is not None:
         check_integer(fail_limit, "fail_limit", 1)
-    checker = compiled_checker(convention)
-    skip_integrality = convention == "reduced"
+    walk = compiled_walk(convention)
     report = SweepReport(n_max=n_max, m_factor=m_factor,
                          convention=convention)
+    stats = report.stats
+    room = math.inf if fail_limit is None else fail_limit
     gcd = math.gcd
-    n_x = len(P.X_PARAMS)
     started = time.perf_counter()
     for n in range(1, n_max + 1):
-        data_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for m in range(1, m_factor * n + 1):
+        # no m/n > 4 is a sum of four unit fractions: past m = 4n only the
+        # reduced m are counted, (m_factor - 4) * phi(n) of them
+        patterns: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for m in range(1, min(m_factor, 4) * n + 1):
             if gcd(m, n) != 1:
                 continue
             report.fractions += 1
-            for a in iter_raw_solutions(m, n, 4):
-                report.solutions += 1
-                pattern = (gcd(a[0], n), gcd(a[1], n),
-                           gcd(a[2], n), gcd(a[3], n))
-                data = data_cache.get(pattern)
-                if data is None:
-                    data = pattern_data(n, pattern)
-                    data_cache[pattern] = data
-                t = (a[0] // pattern[0], a[1] // pattern[1],
-                     a[2] // pattern[2], a[3] // pattern[3])
-                x = layered_gcds(*t)
-                if x[n_x:] != (1, 1, 1, 1):
-                    fails = ["singleton:" + name for name, value
-                             in zip(X_VALUES[n_x:], x[n_x:]) if value != 1]
-                else:
-                    fails = checker(m, n, *data, *x[:n_x], *t)
-                for key in fails:
-                    if skip_integrality and key.startswith("zint:"):
-                        report.skipped += 1
-                    else:
-                        report.failures.append(SweepFailure(m, n, a, key))
-                if fail_limit is not None and len(report.failures) >= fail_limit:
-                    report.complete = False
-                    report.elapsed = time.perf_counter() - started
-                    return report
+            solutions, skipped, a1_nodes, a2_nodes, found = walk(
+                m, n, patterns, room - len(report.failures))
+            report.solutions += solutions
+            report.skipped += skipped
+            report.failures += found
+            stats["a1_nodes"] += a1_nodes
+            stats["a2_nodes"] += a2_nodes
+            stats["tail_calls"] += a2_nodes  # one tail per a2 node
+            if len(report.failures) >= room:
+                report.complete = False
+                return _finish(report, started)
+        if m_factor > 4:
+            report.fractions += (m_factor - 4) * sum(
+                1 for m in range(1, n + 1) if gcd(m, n) == 1)
         if progress is not None:
-            report.elapsed = time.perf_counter() - started
-            progress(n, report)
+            progress(n, _finish(report, started))
+    return _finish(report, started)
+
+
+def _finish(report: SweepReport, started: float) -> SweepReport:
     report.elapsed = time.perf_counter() - started
+    report.stats["solutions"] = report.solutions
+    report.stats["skipped"] = report.skipped
     return report

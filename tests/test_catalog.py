@@ -121,7 +121,6 @@ def test_inequalities_hold_on_enumerated_solutions():
             for template in templates:
                 lhs, rhs = template.evaluate_sides(env)
                 assert lhs <= rhs, (tuple(sol), template.key)
-                assert template.evaluate(env)
 
 
 def test_inequality_worked_values():

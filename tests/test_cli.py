@@ -577,8 +577,12 @@ def test_sweep_json_quiet(capsys):
 
 
 def test_sweep_stopped_at_fail_limit_is_flagged(capsys, monkeypatch):
-    monkeypatch.setattr("unitfrac.sweep.compiled_checker",
-                        lambda convention: lambda *args: ["master"])
+    from unitfrac.sweep import compiled_walk
+    monkeypatch.setattr("unitfrac.sweep.compiled_walk", compiled_walk.__wrapped__)
+    monkeypatch.setattr(
+        "unitfrac.sweep.checker_source",
+        lambda convention: "def _check():\n    fails = ['master']\n"
+                           "    return fails\n")
     rc, out, _ = run(capsys, "sweep", "--nmax", "4", "--quiet", "--json",
                      "--fail-limit", "1")
     assert rc == 2
@@ -588,6 +592,32 @@ def test_sweep_stopped_at_fail_limit_is_flagged(capsys, monkeypatch):
                      "--fail-limit", "1")
     assert rc == 2
     assert "PARTIAL: stopped at the fail limit" in out.splitlines()[0]
+
+
+def test_sweep_stats_line(capsys):
+    rc, out, err = run(capsys, "sweep", "--nmax", "4", "--quiet", "--json")
+    rc_s, out_s, err_s = run(capsys, "sweep", "--nmax", "4", "--quiet",
+                             "--json", "--stats")
+    assert rc == rc_s == 0 and out_s == out and err == ""
+    assert err_s.count("\n") == 1
+    stats = json.loads(err_s)
+    assert list(stats) == ["a1_nodes", "a2_nodes", "tail_calls", "solutions",
+                           "skipped"]
+    assert stats["solutions"] == 1408 and stats["skipped"] == 0
+    rc, out, err = run(capsys, "sweep", "--nmax", "2", "--stats")
+    assert rc == 0 and out.startswith("swept 8 fractions / 145 solutions")
+    assert json.loads(err.splitlines()[-1])["solutions"] == 145
+
+
+def test_sweep_huge_mfactor_returns_at_once(capsys):
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "sweep", "--nmax", "3", "--mfactor",
+                       str(10 ** 20), "--quiet", "--json")
+    assert time.perf_counter() - started < 2
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["fractions"] == 16 + (10 ** 20 - 4) * 4
+    assert doc["solutions"] == 616 and doc["complete"] is True
 
 
 def test_sweep_progress_on_stderr(capsys):

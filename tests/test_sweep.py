@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from unitfrac import params as P
 from unitfrac.catalog import build_inequalities
-from unitfrac.decomposition import decompose
-from unitfrac.enumeration import enumerate_representations
+from unitfrac.decomposition import (decompose, layered_gcd_lines,
+                                    layered_gcds, pattern_data)
+from unitfrac.enumeration import (count_representations,
+                                  enumerate_representations,
+                                  iter_raw_solutions)
 from unitfrac.errors import InputError
-from unitfrac.sweep import (checker_source, compiled_checker, layered_gcds,
-                            sweep_soundness)
+from unitfrac.sweep import (STATS_KEYS, SweepFailure, checker_source,
+                            compiled_checker, compiled_walk, sweep_soundness)
 
 ARG_ORDER = (("m", "n")
              + tuple("n%d" % i for i in P.INDICES)
@@ -34,6 +37,13 @@ def test_checker_source_compiles_and_is_cached():
     assert fn is compiled_checker("standard")
     assert fn.source == checker_source("standard")
     assert "def _check_solution" in fn.source
+    walk = compiled_walk("reduced")
+    assert walk is compiled_walk("reduced") and walk is not compiled_walk()
+    # the walk runs the checker's body line for line, in order
+    walk_lines = iter(line.strip() for line in walk.source.splitlines())
+    assert all(line.strip() in walk_lines
+               for line in checker_source("reduced").splitlines()[1:]
+               if line.strip() != "return fails")
 
 
 def test_checker_passes_worked_example():
@@ -50,7 +60,8 @@ def test_checker_agrees_with_reference_evaluators():
             env = dec.env()
             fails = checker(*_checker_args(dec))
             assert fails == [], (tuple(sol), fails)
-            assert all(t.evaluate(env) for t in templates)
+            assert all(left <= right for left, right
+                       in (t.evaluate_sides(env) for t in templates))
 
 
 def test_checker_flags_corrupted_solution():
@@ -179,19 +190,115 @@ def test_sweep_rejects_non_integer_arguments():
                 sweep_soundness(**{"n_max": 3, name: bad})
 
 
+# A check body that fails every solution, in the shape of checker_source.
+_ALWAYS_MASTER = "def _check_solution():\n    fails = ['master']\n    return fails\n"
+
+
 def test_fail_limit_marks_sweep_incomplete(monkeypatch):
     full = sweep_soundness(n_max=5)
     assert full.complete and "PARTIAL" not in full.summary()
-    monkeypatch.setattr("unitfrac.sweep.compiled_checker",
-                        lambda convention: lambda *args: ["master"])
+    monkeypatch.setattr("unitfrac.sweep.compiled_walk", compiled_walk.__wrapped__)
+    monkeypatch.setattr("unitfrac.sweep.checker_source",
+                        lambda convention: _ALWAYS_MASTER)
     report = sweep_soundness(n_max=5, fail_limit=1)
     assert not report.complete
     assert len(report.failures) == 1 and report.solutions == 1
     assert report.summary().endswith("; PARTIAL: stopped at the fail limit")
     # a failed singleton gcd counts against the limit too
-    real = layered_gcds
-    monkeypatch.setattr("unitfrac.sweep.layered_gcds",
-                        lambda *t: real(*t)[:-1] + (2,))
+    real = layered_gcd_lines()
+    monkeypatch.setattr("unitfrac.sweep.layered_gcd_lines",
+                        lambda: real[:-1] + ["x4 = 2"] + real[-1:])
     report = sweep_soundness(n_max=5, fail_limit=1)
     assert not report.complete
     assert [f.check for f in report.failures] == ["singleton:x4"]
+
+
+def _per_solution_sweep(n_max, convention, checker, fail_limit):
+    # The sweep as one loop per solution: enumerate, decompose, check.
+    failures, solutions, skipped = [], 0, 0
+    for n in range(1, n_max + 1):
+        for m in range(1, 4 * n + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            for a in iter_raw_solutions(m, n, 4):
+                solutions += 1
+                pattern = tuple(math.gcd(ai, n) for ai in a)
+                t = tuple(ai // ni for ai, ni in zip(a, pattern))
+                x = layered_gcds(*t)
+                if x[-4:] != (1, 1, 1, 1):
+                    keys = ["singleton:x%d" % i for i in P.INDICES
+                            if x[-5 + i] != 1]
+                else:
+                    keys = checker(m, n, *pattern_data(n, pattern), *x[:-4], *t)
+                for key in keys:
+                    if convention == "reduced" and key.startswith("zint:"):
+                        skipped += 1
+                    else:
+                        failures.append(SweepFailure(m, n, a, key))
+                if len(failures) >= fail_limit:
+                    return failures, solutions, skipped
+    return failures, solutions, skipped
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_fail_limit_stops_mid_fraction_as_a_per_solution_loop(
+        monkeypatch, convention):
+    # the real check plus one probe failure on some solutions
+    real = checker_source(convention)
+    probed = real.replace("    fails = []\n",
+                          "    fails = ['probe'] if t3 % 5 == 2 else []\n", 1)
+    assert probed != real
+    monkeypatch.setattr("unitfrac.sweep.checker_source", lambda c: probed)
+    monkeypatch.setattr("unitfrac.sweep.compiled_walk", compiled_walk.__wrapped__)
+    checker = compiled_checker.__wrapped__(convention)
+    for limit in (1, 7, 40):
+        report = sweep_soundness(n_max=8, convention=convention,
+                                 fail_limit=limit)
+        failures, solutions, skipped = _per_solution_sweep(
+            8, convention, checker, limit)
+        assert not report.complete
+        assert report.failures == failures and len(failures) == limit
+        assert (report.solutions, report.skipped) == (solutions, skipped)
+        # the stop falls inside the fraction, not at its end
+        last = failures[-1]
+        seen = list(iter_raw_solutions(last.m, last.n, 4))
+        assert seen.index(last.denominators) < len(seen) - 1
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_walk_counts_every_solution(convention):
+    walk = compiled_walk(convention)
+    for n in range(1, 13):
+        patterns = {}
+        for m in range(1, 4 * n + 1):
+            if math.gcd(m, n) == 1:
+                solutions, skipped, _, _, found = walk(m, n, patterns, math.inf)
+                assert solutions == count_representations(m, n, 4), (m, n)
+                assert found == []
+                assert skipped <= solutions
+
+
+def test_sweep_stats_shape():
+    report = sweep_soundness(n_max=6, convention="reduced")
+    stats = report.stats
+    assert list(stats) == list(STATS_KEYS)
+    assert all(type(value) is int for value in stats.values())
+    assert stats["solutions"] == report.solutions
+    assert stats["skipped"] == report.skipped > 0
+    assert 0 < stats["a1_nodes"] <= stats["a2_nodes"] == stats["tail_calls"]
+    assert sweep_soundness(n_max=6).stats == dict(stats, skipped=0)
+
+
+def test_mfactor_past_four_counts_fractions_without_walking():
+    # no m/n > 4 has a 4-term solution, so past m = 4n only fractions count
+    four = sweep_soundness(n_max=8)
+    phi = sum(1 for n in range(1, 9) for m in range(1, n + 1)
+              if math.gcd(m, n) == 1)
+    for m_factor in (5, 7, 10 ** 20):
+        report = sweep_soundness(n_max=8, m_factor=m_factor)
+        assert report.fractions == four.fractions + (m_factor - 4) * phi
+        assert (report.solutions, report.skipped, report.stats) == (
+            four.solutions, four.skipped, four.stats)
+    assert sweep_soundness(n_max=8, m_factor=7).fractions == sum(
+        1 for n in range(1, 9) for m in range(1, 7 * n + 1)
+        if math.gcd(m, n) == 1)
