@@ -93,8 +93,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_decompose(args) -> int:
     from .decomposition import decompose
-    if args.n < 1:
-        raise InputError("n must be positive, got %d" % args.n)
+    check_integer(args.n, "n", 1)
     values = _parse_solution(args.solution)
     dec = decompose(values, Fraction(args.m, args.n),
                     convention=args.z_convention)

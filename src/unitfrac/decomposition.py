@@ -74,7 +74,7 @@ def _define(name: str, args: Sequence[str], body: List[str],
 def pattern_of(denominators: Sequence[int], n: int) -> Tuple[int, ...]:
     """Componentwise gcd of the denominators with n."""
     check_integer(n, "n", 1)
-    return tuple(math.gcd(check_integer(a, "denominators[%d]" % i), n)
+    return tuple(math.gcd(check_integer(a, "denominators[%d]" % i, 1), n)
                  for i, a in enumerate(denominators))
 
 
@@ -231,6 +231,9 @@ def decompose(
         raise InputError("expected exactly 4 denominators, got %d" % len(a))
     if any(a[i] > a[i + 1] for i in range(3)):
         raise InputError("denominators must be nondecreasing: %s" % (a,))
+    if isinstance(fraction, bool) or not isinstance(fraction, (int, Fraction)):
+        raise InputError("fraction must be an int or a Fraction, got %r"
+                         % (fraction,))
     f = Fraction(fraction)
     if sum(Fraction(1, v) for v in a) != f:
         raise InputError("%s does not solve %s" % (a, f))

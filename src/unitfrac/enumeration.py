@@ -13,9 +13,8 @@ a >= previous form a progression of step p.  When it has at most tau(q^2)
 terms (tau counts divisors), it is scanned for divisors of q^2;
 otherwise the divisors up to q are built from the factorization of q and
 filtered.  Both cost O(tau(q^2)), so the scan is never asymptotically
-worse than the build.  An independent oracle for equivalence testing
-(enumerate_naive, or divisor_tail=False) scans every a instead and never
-reduces the remainder.
+worse than the build.  An independent oracle for equivalence testing,
+enumerate_naive, scans every a instead and never reduces the remainder.
 
 count_representations runs the same recursion on ints: its two-term tail
 counts the admissible divisors instead of turning them into pairs, so no
@@ -147,14 +146,6 @@ def _iter_scan(prev: int, num: int, den: int, j: int) -> Iterator[tuple]:
         for a in range(lo, hi + 1):
             for tail in _iter_scan(a, num * a - den, den * a, j - 1):
                 yield (a,) + tail
-
-
-def iter_raw_solutions(m: int, n: int, k: int, divisor_tail: bool = True) -> Iterator[tuple]:
-    """Lexicographic stream of solution tuples (no wrapping, no cap)."""
-    p, q = _check_query(m, n, k)
-    if k == 0:
-        return iter(())
-    return (_iter_raw if divisor_tail else _iter_scan)(1, p, q, k)
 
 
 def _collect(m: int, n: int, k: int, cap, walk) -> EnumerationResult:

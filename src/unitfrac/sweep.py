@@ -17,10 +17,9 @@ tests/test_catalog.py proves this symbolically under both conventions.
 
 The checks are one function body, `checker_source(convention)`, built
 from the same quotient lines that `decompose()` runs and from the
-inequality templates in `catalog`.  `compiled_checker` compiles it alone,
-for one solution at a time.  The sweep runs it inside a walk compiled once
-per convention (`walk_source`): the enumeration's loops over a1 and a2 and
-its divisor tail for (a3, a4), with each pattern value computed in the
+inequality templates in `catalog`.  Its only compiled form is the walk,
+one per convention (`walk_source`): the enumeration's loops over a1 and a2
+and its divisor tail for (a3, a4), with each pattern value computed in the
 loop where its inputs are known, and the layered gcds and the checker's
 body inlined at the leaf on local integers.  Under the "reduced"
 convention the pair quotients are not always integral; such solutions
@@ -88,17 +87,6 @@ def checker_source(convention: str = "standard") -> str:
         body += _inequality_lines(tmpl)
     body.append("return fails")
     return function_source(_CHECKER_NAME, args, body)
-
-
-@lru_cache(maxsize=None)
-def compiled_checker(convention: str = "standard") -> Callable:
-    """Compile the checker; returns failing check keys per solution."""
-    source = checker_source(convention)
-    namespace: Dict[str, object] = {"_gcd": math.gcd}
-    exec(compile(source, "<%s checker>" % convention, "exec"), namespace)
-    func = namespace[_CHECKER_NAME]
-    func.source = source
-    return func
 
 
 _WALK_NAME = "_walk"

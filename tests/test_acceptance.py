@@ -17,7 +17,7 @@ from unitfrac.asymptotics import breakpoint_alphas, regime_table, sylvester
 from unitfrac.boundsearch import replay_witness, search, witness_to_json
 from unitfrac.catalog import build_rules, family_counts
 from unitfrac.closure import closure, is_defining
-from unitfrac.enumeration import count_representations, iter_raw_solutions
+from unitfrac.enumeration import _iter_scan, count_representations
 from unitfrac.params import PARAM_ORDER, X_PARAMS
 from unitfrac.sweep import sweep_soundness
 
@@ -99,8 +99,7 @@ def test_criterion_5_divisor_trick_counts_match_naive_scan_to_n30():
                 continue
             for k in range(0, 5):
                 fast = count_representations(m, n, k)
-                naive = sum(1 for _ in iter_raw_solutions(
-                    m, n, k, divisor_tail=False))
+                naive = sum(1 for _ in _iter_scan(1, m, n, k))
                 assert fast == naive, (m, n, k)
     assert count_representations(1, 1, 3) == 3
     assert count_representations(1, 1, 4) == 14

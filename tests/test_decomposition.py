@@ -24,7 +24,7 @@ from unitfrac.decomposition import (
 )
 from unitfrac.enumeration import enumerate_representations
 from unitfrac.errors import InputError, IntegralityError
-from unitfrac.sweep import compiled_checker
+from unitfrac.sweep import checker_source
 
 
 def test_pattern_of():
@@ -154,6 +154,24 @@ def test_non_integer_arguments_are_input_errors():
         relative_gcds((2.0, 4, 6, 12))
 
 
+def test_decompose_takes_only_an_int_or_a_fraction():
+    # Fraction() would read a whole float, a bool or a string as 1, and
+    # raise TypeError, ValueError or ZeroDivisionError on None, nan, "1/0"
+    for bad in (1.0, True, "1", None, float("nan"), "1/0", 1 + 0j):
+        with pytest.raises(InputError, match="fraction must be an int or"):
+            decompose((2, 4, 6, 12), bad)
+    assert decompose((2, 4, 6, 12), 1) == decompose((2, 4, 6, 12),
+                                                    Fraction(1))
+
+
+def test_pattern_of_refuses_non_positive_denominators():
+    # gcd(0, 3) = 3: without a lower bound a zero denominator gives a value
+    for bad in (0, -2):
+        with pytest.raises(InputError,
+                           match=r"denominators\[0\] must be an integer >= 1"):
+            pattern_of((bad, 2), 3)
+
+
 # Numbers built from small primes share factors often, so the gcd lattice of
 # four of them has many nontrivial layers; plain integers rarely do.
 _SMOOTH = st.lists(st.sampled_from((2, 3, 5, 7)), max_size=12).map(math.prod)
@@ -198,7 +216,8 @@ _FIELDS = [("x", p) for p in P.X_PARAMS] + [("t", i) for i in range(4)]
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(_SOLUTIONS), st.sampled_from(P.CONVENTIONS),
        st.sampled_from(_FIELDS), st.integers(min_value=1, max_value=60))
-def test_verify_reports_what_the_sweep_checker_reports(solution, convention,
+def test_verify_reports_what_the_sweep_checker_reports(compile_checker,
+                                                       solution, convention,
                                                        field, value):
     fraction, a = solution
     try:
@@ -212,7 +231,7 @@ def test_verify_reports_what_the_sweep_checker_reports(solution, convention,
         t = list(dec.t)
         t[key] = value
         bad = dataclasses.replace(dec, t=tuple(t))
-    expected = compiled_checker(convention)(
+    expected = compile_checker(checker_source(convention))(
         bad.m, bad.n, *pattern_data(bad.n, bad.pattern),
         *(bad.x[p] for p in P.X_PARAMS), *bad.t)
     assert {c.name for c in verify(bad).failures()} == set(expected)

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from unitfrac.enumeration import (
     MAX_TERMS,
+    _iter_raw,
+    _iter_scan,
     _tail_divisors,
     count_representations,
     enumerate_naive,
     enumerate_representations,
-    iter_raw_solutions,
 )
 from unitfrac.errors import InputError
 
@@ -78,8 +79,7 @@ def test_oracle_agreement_small():
 def test_divisor_tail_keeps_lexicographic_order(fraction, k):
     m, n = fraction
     assume(gcd(m, n) == 1)
-    assert list(iter_raw_solutions(m, n, k)) == list(
-        iter_raw_solutions(m, n, k, divisor_tail=False))
+    assert list(_iter_raw(1, m, n, k)) == list(_iter_scan(1, m, n, k))
 
 
 @settings(deadline=None)
@@ -95,7 +95,7 @@ def test_count_matches_stream(query):
     assume(k < 4 or 20 * m >= n)
     assume(k < 5 or 4 * m >= n)
     assert count_representations(m, n, k) == sum(
-        1 for _ in iter_raw_solutions(m, n, k))
+        1 for _ in _iter_raw(1, m, n, k))
 
 
 def _tail_oracle(prev, p, q):

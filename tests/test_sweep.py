@@ -14,12 +14,11 @@ from unitfrac import params as P
 from unitfrac.catalog import build_inequalities
 from unitfrac.decomposition import (decompose, layered_gcd_lines,
                                     layered_gcds, pattern_data)
-from unitfrac.enumeration import (count_representations,
-                                  enumerate_representations,
-                                  iter_raw_solutions)
+from unitfrac.enumeration import (_iter_raw, count_representations,
+                                  enumerate_representations)
 from unitfrac.errors import InputError
 from unitfrac.sweep import (STATS_KEYS, SweepFailure, checker_source,
-                            compiled_checker, compiled_walk, sweep_soundness)
+                            compiled_walk, sweep_soundness)
 
 ARG_ORDER = (("m", "n")
              + tuple("n%d" % i for i in P.INDICES)
@@ -32,11 +31,10 @@ def _checker_args(dec):
     return [env[name] for name in ARG_ORDER] + list(dec.t)
 
 
-def test_checker_source_compiles_and_is_cached():
-    fn = compiled_checker("standard")
-    assert fn is compiled_checker("standard")
-    assert fn.source == checker_source("standard")
-    assert "def _check_solution" in fn.source
+def test_checker_source_compiles_and_is_cached(compile_checker):
+    fn = compile_checker(checker_source("standard"))
+    assert fn.__name__ == "_check_solution"
+    assert "def _check_solution" in checker_source("standard")
     walk = compiled_walk("reduced")
     assert walk is compiled_walk("reduced") and walk is not compiled_walk()
     # the walk runs the checker's body line for line, in order
@@ -46,14 +44,15 @@ def test_checker_source_compiles_and_is_cached():
                if line.strip() != "return fails")
 
 
-def test_checker_passes_worked_example():
+def test_checker_passes_worked_example(compile_checker):
     dec = decompose((2, 4, 6, 12), 1)
-    assert compiled_checker("standard")(*_checker_args(dec)) == []
+    assert compile_checker(checker_source("standard"))(
+        *_checker_args(dec)) == []
 
 
-def test_checker_agrees_with_reference_evaluators():
+def test_checker_agrees_with_reference_evaluators(compile_checker):
     templates = build_inequalities()
-    checker = compiled_checker("standard")
+    checker = compile_checker(checker_source("standard"))
     for m, n in ((1, 1), (3, 7), (5, 6), (1, 2)):
         for sol in enumerate_representations(m, n, 4).solutions:
             dec = decompose(tuple(sol), Fraction(m, n))
@@ -64,17 +63,18 @@ def test_checker_agrees_with_reference_evaluators():
                        in (t.evaluate_sides(env) for t in templates))
 
 
-def test_checker_flags_corrupted_solution():
+def test_checker_flags_corrupted_solution(compile_checker):
+    checker = compile_checker(checker_source("standard"))
     dec = decompose((2, 4, 6, 12), 1)
     args = _checker_args(dec)
     good = list(args)
     # corrupt one relative gcd: many identities must break, none crash
     pos = ARG_ORDER.index("x24")
     args[pos] += 1
-    fails = compiled_checker("standard")(*args)
+    fails = checker(*args)
     assert fails
     assert all(isinstance(key, str) for key in fails)
-    assert compiled_checker("standard")(*good) == []
+    assert checker(*good) == []
 
 
 # A reference for the checker's contract, from plain integer arithmetic
@@ -121,12 +121,12 @@ def _reference_keys(env, t, convention):
 @given(st.sampled_from(_SOLUTIONS), st.sampled_from(P.CONVENTIONS),
        st.integers(0, len(ARG_ORDER) + 3), st.integers(1, 60))
 def test_checker_matches_reference_on_corrupted_arguments(
-        solution, convention, pos, value):
+        compile_checker, solution, convention, pos, value):
     m, n, sol = solution
     args = _checker_args(decompose(sol, Fraction(m, n)))
     args[pos] = value
     env = dict(zip(ARG_ORDER, args))
-    assert (compiled_checker(convention)(*args)
+    assert (compile_checker(checker_source(convention))(*args)
             == _reference_keys(env, args[len(ARG_ORDER):], convention))
 
 
@@ -220,7 +220,7 @@ def _per_solution_sweep(n_max, convention, checker, fail_limit):
         for m in range(1, 4 * n + 1):
             if math.gcd(m, n) != 1:
                 continue
-            for a in iter_raw_solutions(m, n, 4):
+            for a in _iter_raw(1, m, n, 4):
                 solutions += 1
                 pattern = tuple(math.gcd(ai, n) for ai in a)
                 t = tuple(ai // ni for ai, ni in zip(a, pattern))
@@ -242,7 +242,7 @@ def _per_solution_sweep(n_max, convention, checker, fail_limit):
 
 @pytest.mark.parametrize("convention", P.CONVENTIONS)
 def test_fail_limit_stops_mid_fraction_as_a_per_solution_loop(
-        monkeypatch, convention):
+        monkeypatch, compile_checker, convention):
     # the real check plus one probe failure on some solutions
     real = checker_source(convention)
     probed = real.replace("    fails = []\n",
@@ -250,7 +250,7 @@ def test_fail_limit_stops_mid_fraction_as_a_per_solution_loop(
     assert probed != real
     monkeypatch.setattr("unitfrac.sweep.checker_source", lambda c: probed)
     monkeypatch.setattr("unitfrac.sweep.compiled_walk", compiled_walk.__wrapped__)
-    checker = compiled_checker.__wrapped__(convention)
+    checker = compile_checker(probed)
     for limit in (1, 7, 40):
         report = sweep_soundness(n_max=8, convention=convention,
                                  fail_limit=limit)
@@ -261,7 +261,7 @@ def test_fail_limit_stops_mid_fraction_as_a_per_solution_loop(
         assert (report.solutions, report.skipped) == (solutions, skipped)
         # the stop falls inside the fraction, not at its end
         last = failures[-1]
-        seen = list(iter_raw_solutions(last.m, last.n, 4))
+        seen = list(_iter_raw(1, last.m, last.n, 4))
         assert seen.index(last.denominators) < len(seen) - 1
 
 
