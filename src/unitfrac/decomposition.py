@@ -89,17 +89,24 @@ def pattern_data(n: int, pattern: Tuple[int, ...]) -> Tuple[int, ...]:
 def layered_gcd_lines() -> List[str]:
     """Statements binding every x_J from t1..t4, then returning X_VALUES.
 
-    From x1234 down the subset lattice: x_J is gcd(t_i : i in J) with the
+    First the subset gcds g_J = gcd(t_i : i in J), each of a triple or the
+    quad from the g_J one index smaller (1 when that one is 1).  Then from
+    x1234 down the subset lattice: x_J is g_J (t_i for J = {i}) with the
     x_K of all strict supersets K of J, each computed before J, divided out.
     """
+    lines: List[str] = ["g%s = _gcd(t%d, t%d)" % (P.subset_name(J), *J)
+                        for J in P.PAIRS]
+    for J in P.TRIPLES + (P.QUAD,):
+        smaller = "g" + P.subset_name(J[:-1])
+        lines.append("g%s = _gcd(%s, t%d) if %s != 1 else 1"
+                     % (P.subset_name(J), smaller, J[-1], smaller))
     layers = (P.QUAD,) + P.TRIPLES + P.PAIRS + tuple((i,) for i in P.INDICES)
-    lines: List[str] = []
     for J in layers:
         above = [P.x_name(K) for K in layers if set(J) < set(K)]
         lines += [
-            "%s, _r = divmod(_gcd(%s), %s)"
-            % (P.x_name(J), ", ".join("t%d" % i for i in J),
-               product_expr(above)),
+            "%s, _r = divmod(%s, %s)"
+            % (P.x_name(J), "t%d" % J if len(J) == 1
+               else "g" + P.subset_name(J), product_expr(above)),
             "if _r:",
             "    raise _InvariantError('layered gcd not exact at %s for "
             "cofactors %%s' %% ((t1, t2, t3, t4),))" % P.x_name(J),

@@ -21,7 +21,10 @@ inequality templates in `catalog`.  Its only compiled form is the walk,
 one per convention (`walk_source`): the enumeration's loops over a1 and a2
 and its divisor tail for (a3, a4), with each pattern value computed in the
 loop where its inputs are known, and the layered gcds and the checker's
-body inlined at the leaf on local integers.  Under the "reduced"
+body inlined at the leaf on local integers.  Each of those statements
+runs in the shallowest loop that binds its inputs: coprime:t1 is decided
+once per a1, coprime:t2 and gcd(t1, t2) once per a2, and a pair-gcd check
+calls gcd only when neither argument is 1.  Under the "reduced"
 convention the pair quotients are not always integral; such solutions
 carry no decomposition to check and are counted as skipped rather than
 failed.  `decomposition.verify` is the one-solution form: it reports the
@@ -31,6 +34,7 @@ same check keys and stops where this checker stops.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -71,7 +75,12 @@ def _record_failure(check: str, num: str, den: str) -> List[str]:
 
 
 def checker_source(convention: str = "standard") -> str:
-    """Source of the compiled per-solution checker (one function)."""
+    """Source of the check body, as one function `_check_solution`.
+
+    The sweep runs this body only inlined in its walk (see walk_source);
+    as a function of (m, n, *pattern data, *x, *t) returning the failing
+    check keys it is the one-solution form the tests compile and compare.
+    """
     check_convention(convention)
     args = ("m", "n") + PATTERN_ARGS + P.X_PARAMS + ("t1", "t2", "t3", "t4")
     master, quotients = quotient_lines(convention, _record_failure)
@@ -98,9 +107,53 @@ STATS_KEYS = ("a1_nodes", "a2_nodes", "tail_calls", "solutions", "skipped")
 # pattern_data from a per-n cache.
 _LOOP_PATTERN = ("n1", "nn1", "n2", "nn2", "d12", "n3", "n4")
 
+# The enumeration's loops over a1, a2 and the tail's divisors d.  The
+# heads of the a1 and a2 loops compute the fraction left for the terms
+# after a_i and the pattern values of a_i.
+_A1_LOOP = "for a1 in range(n // m + 1, 4 * n // m + 1):"
+_A2_LOOP = "for a2 in range(max(a1, q1 // p1 + 1), 3 * q1 // p1 + 1):"
+_TAIL_LOOP = "for d in sorted(_tail(a2, p2, q2)):"
+_A1_HEAD = [
+    "a1_nodes += 1",
+    "n1 = _gcd(a1, n)",
+    "nn1 = n // n1",
+    "t1 = a1 // n1",
+    "p1 = m * a1 - n",
+    "q1 = n * a1",
+    "g = _gcd(p1, q1)",
+    "p1 //= g",
+    "q1 //= g",
+]
+_A2_HEAD = [
+    "a2_nodes += 1",
+    "n2 = _gcd(a2, n)",
+    "nn2 = n // n2",
+    "t2 = a2 // n2",
+    "d12 = _gcd(nn1, nn2)",
+    "p2 = p1 * a2 - q1",
+    "q2 = q1 * a2",
+    "g = _gcd(p2, q2)",
+    "p2 //= g",
+    "q2 //= g",
+    "qq = q2 * q2",
+]
+
+_ASSIGNED = re.compile(r"(?:for )?(\w+(?:, \w+)*)(?: in | (?://|\+)?= )")
+_PAIR_CHECK = re.compile(r"if _gcd\((\w+), (\w+)\) != 1:")
+
 
 def _indented(lines: List[str], depth: int = 1) -> List[str]:
     return ["    " * depth + line for line in lines]
+
+
+def _assigned(line: str) -> List[str]:
+    # the names a generated statement binds: its targets, or a for's
+    match = _ASSIGNED.match(line.strip())
+    return match.group(1).split(", ") if match else []
+
+
+def _reads(expr: str) -> set:
+    return set(re.findall(r"[A-Za-z_]\w*", re.sub(r"'[^']*'", "", expr)))
 
 
 def _check_block(convention: str) -> List[str]:
@@ -115,6 +168,63 @@ def _check_block(convention: str) -> List[str]:
     return lines
 
 
+def _staged(block: List[str], heads: List[List[str]],
+            leaf: List[str]) -> Tuple[List[List[str]], List[str]]:
+    """Move each statement of the leaf's `block` to the shallowest loop.
+
+    `heads` are the enclosing loops, each its `for` line and its head
+    statements, outermost first, and `leaf` the innermost loop's `for`
+    line and its other statements.  A one-line assignment
+    whose name the block binds only there moves, whole, to the end of the
+    head of the deepest loop that binds a name it reads.  So does the
+    condition of an `if` statement, as `_c<k> = <condition>`; the whole
+    `if` statement stays in place under `if _c<k>:`.  Any other
+    `if _gcd(a, b) != 1:` statement goes under `if a != 1 and b != 1:`.
+    A statement that reads no loop's name, or one the leaf binds, stays
+    as it is.  Returns the lines for the end of each head and the block.
+    """
+    depth: Dict[str, int] = {}
+    for level, head in enumerate(heads):
+        depth.update((name, level) for line in head
+                     for name in _assigned(line))
+    bound = [name for line in block for name in _assigned(line)]
+    depth.update((name, len(heads)) for name in bound)
+    depth.update((name, len(heads)) for line in leaf
+                 for name in _assigned(line))
+    hoisted: List[List[str]] = [[] for _ in heads]
+    kept: List[str] = []
+    flags = 0
+    starts = [i for i, line in enumerate(block) if not line.startswith(" ")]
+    for start, end in zip(starts, starts[1:] + [len(block)]):
+        statement = block[start:end]
+        line = statement[0]
+        names = _assigned(line)
+        if line.startswith("if ") and line.endswith(":"):
+            expr = line[3:-1]
+        elif len(names) == 1 and " = " in line and bound.count(names[0]) == 1:
+            expr = line.split(" = ", 1)[1]
+        else:
+            kept += statement
+            continue
+        level = max((depth.get(name, -1) for name in _reads(expr)),
+                    default=-1)
+        pair = _PAIR_CHECK.fullmatch(line)
+        if 0 <= level < len(heads):
+            if names:
+                hoisted[level].append(line)
+                depth[names[0]] = level
+                continue
+            flags += 1
+            hoisted[level].append("_c%d = %s" % (flags, expr))
+            kept += ["if _c%d:" % flags] + _indented(statement)
+        elif pair:
+            kept += ["if %s != 1 and %s != 1:" % pair.groups()] + _indented(
+                statement)
+        else:
+            kept += statement
+    return hoisted, kept
+
+
 def walk_source(convention: str = "standard") -> str:
     """Source of the walk over the 4-term solutions of one reduced m/n.
 
@@ -122,9 +232,12 @@ def walk_source(convention: str = "standard") -> str:
     a2 and its divisor tail for (a3, a4), in the same lexicographic order.
     Each pattern value is computed in the loop where its inputs are known;
     `patterns`, one dict per n, caches the rest of the pattern data.  At
-    each leaf the layered gcds and the checker's body run on locals, and
-    only a failing check builds the solution tuple, as a SweepFailure.
-    Under "reduced" a non-integral quotient is counted as skipped instead.
+    each leaf the layered gcds and the checker's body run on locals, each
+    statement staged by `_staged`: the gcds and checks that read only t1
+    and nn1, or also t2 and nn2, run once per a1 or per a2 loop, and a
+    pair-gcd check runs its gcd only when neither argument is 1.  Only a
+    failing check builds the solution tuple, as a SweepFailure.  Under
+    "reduced" a non-integral quotient is counted as skipped instead.
     The walk returns (solutions, skipped, a1 nodes, a2 nodes, failures)
     as soon as the failures reach `room`, or at the end.
     """
@@ -140,7 +253,9 @@ def walk_source(convention: str = "standard") -> str:
                   "else:", "    " + failure]
     else:
         record = [failure]
-    leaf = [
+    leaf_head = [
+        "a3 = (d + q2) // p2",
+        "a4 = (qq // d + q2) // p2",
         "solutions += 1",
         "n3 = _gcd(a3, n)",
         "n4 = _gcd(a4, n)",
@@ -152,48 +267,33 @@ def walk_source(convention: str = "standard") -> str:
         "    data = patterns[n1, n2, n3, n4] = (%s)"
         % ", ".join("data[%d]" % i for i in cached),
         "%s = data" % ", ".join(PATTERN_ARGS[i] for i in cached),
-        "while True:",
-    ] + _indented(gcds + [
-        "if %s:" % " or ".join("%s != 1" % x for x in singles),
-        "    fails = [key for key, x in (%s) if x != 1]"
-        % ", ".join("('singleton:%s', %s)" % (x, x) for x in singles),
-        "    break",
-    ] + _check_block(convention)) + [
+    ]
+    ending = [
         "if fails:",
         "    for key in fails:",
     ] + _indented(record, 2) + [
         "    if len(found) >= room:",
         "        " + result,
     ]
+    checks = gcds + [
+        "if %s:" % " or ".join("%s != 1" % x for x in singles),
+        "    fails = [key for key, x in (%s) if x != 1]"
+        % ", ".join("('singleton:%s', %s)" % (x, x) for x in singles),
+        "    break",
+    ] + _check_block(convention)
+    (a1_more, a2_more), block = _staged(
+        checks, [[_A1_LOOP] + _A1_HEAD, [_A2_LOOP] + _A2_HEAD],
+        [_TAIL_LOOP] + leaf_head + ending)
+    leaf = leaf_head + ["while True:"] + _indented(block) + ending
     body = [
         "found = []",
         "solutions = skipped = a1_nodes = a2_nodes = 0",
-        "for a1 in range(n // m + 1, 4 * n // m + 1):",
-        "    a1_nodes += 1",
-        "    n1 = _gcd(a1, n)",
-        "    nn1 = n // n1",
-        "    t1 = a1 // n1",
-        "    p1 = m * a1 - n",
-        "    q1 = n * a1",
-        "    g = _gcd(p1, q1)",
-        "    p1 //= g",
-        "    q1 //= g",
-        "    for a2 in range(max(a1, q1 // p1 + 1), 3 * q1 // p1 + 1):",
-        "        a2_nodes += 1",
-        "        n2 = _gcd(a2, n)",
-        "        nn2 = n // n2",
-        "        t2 = a2 // n2",
-        "        d12 = _gcd(nn1, nn2)",
-        "        p2 = p1 * a2 - q1",
-        "        q2 = q1 * a2",
-        "        g = _gcd(p2, q2)",
-        "        p2 //= g",
-        "        q2 //= g",
-        "        qq = q2 * q2",
-        "        for d in sorted(_tail(a2, p2, q2)):",
-        "            a3 = (d + q2) // p2",
-        "            a4 = (qq // d + q2) // p2",
-    ] + _indented(leaf, 3) + [result]
+        _A1_LOOP,
+    ] + _indented(_A1_HEAD + a1_more + [
+        _A2_LOOP,
+    ] + _indented(_A2_HEAD + a2_more + [
+        _TAIL_LOOP,
+    ] + _indented(leaf))) + [result]
     return function_source(_WALK_NAME, ("m", "n", "patterns", "room"), body)
 
 

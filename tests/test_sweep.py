@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,15 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unitfrac
 from unitfrac import params as P
 from unitfrac.catalog import build_inequalities
-from unitfrac.decomposition import (decompose, layered_gcd_lines,
-                                    layered_gcds, pattern_data)
+from unitfrac.decomposition import (INCOMPARABLE_PAIRS, decompose,
+                                    layered_gcd_lines, layered_gcds,
+                                    pattern_data)
 from unitfrac.enumeration import (_iter_raw, count_representations,
                                   enumerate_representations)
 from unitfrac.errors import InputError
 from unitfrac.sweep import (STATS_KEYS, SweepFailure, checker_source,
-                            compiled_walk, sweep_soundness)
+                            compiled_walk, sweep_soundness, walk_source)
 
 ARG_ORDER = (("m", "n")
              + tuple("n%d" % i for i in P.INDICES)
@@ -302,3 +309,93 @@ def test_mfactor_past_four_counts_fractions_without_walking():
     assert sweep_soundness(n_max=8, m_factor=7).fractions == sum(
         1 for n in range(1, 9) for m in range(1, 7 * n + 1)
         if math.gcd(m, n) == 1)
+
+
+_KEY = re.compile(r"fails\.append\('([^']*)'\)")
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_walk_keeps_every_check_key_in_order(convention):
+    # staging moves conditions and guards checks, never drops or reorders one
+    keys = _KEY.findall(checker_source(convention))
+    assert len(keys) == 1 + 4 + len(INCOMPARABLE_PAIRS) + 10 + 13
+    assert _KEY.findall(walk_source(convention)) == keys
+
+
+def test_walk_stages_checks_in_the_loops_that_bind_their_inputs():
+    lines = walk_source().splitlines()
+    # the a1 loop's head is indented 8 spaces, the a2 loop's 12
+    assert "        _c1 = _gcd(t1, nn1) != 1" in lines
+    assert "            g12 = _gcd(t1, t2)" in lines
+    assert "            _c2 = _gcd(t2, nn2) != 1" in lines
+    assert lines.count("                    g13 = _gcd(t1, t3)") == 1
+    assert "                    if x12 != 1 and x34 != 1:" in lines
+
+
+# sha256 of walk_source(convention): the staged walk, byte for byte
+_WALK_PINS = {
+    "standard": (293, "53d694091586d35a9a7ddb747f8be59a"
+                      "82cab961a7f7d4ec21931730c9098850"),
+    "reduced": (296, "9d90cbc4041f9867c651b5ef82a0a85a"
+                     "0875ce0326f084bd32653a3395672a8e"),
+}
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_walk_source_is_pinned(convention):
+    source = walk_source(convention)
+    assert (len(source.splitlines()),
+            hashlib.sha256(source.encode()).hexdigest()) == _WALK_PINS[convention]
+
+
+def test_walk_source_does_not_depend_on_the_hash_seed():
+    script = ("import hashlib; from unitfrac.sweep import walk_source; "
+              "print(*(hashlib.sha256(walk_source(c).encode()).hexdigest() "
+              "for c in %r))" % (P.CONVENTIONS,))
+    src = os.path.dirname(os.path.dirname(unitfrac.__file__))
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == [_WALK_PINS[c][1] for c in P.CONVENTIONS]
+
+
+def _staging_probe(source):
+    # coprime:t1 fails on even t1 and coprime:t2 on t2 divisible by 3.  The
+    # pair check x13*x24 reads y13 = 2 * x13 and y24, which is 2 * x24 for
+    # odd t4 and x24 otherwise: its gcd exceeds 1 only where neither
+    # guarded value is 1, as on a real decomposition
+    probed = source.replace(
+        "    if _gcd(t1, nn1) != 1:\n", "    if _gcd(t1, 2 * nn1) != 1:\n", 1
+    ).replace(
+        "    if _gcd(t2, nn2) != 1:\n", "    if _gcd(t2, 3 * nn2) != 1:\n", 1
+    ).replace(
+        "    if _gcd(x13, x24) != 1:\n", "    if _gcd(y13, y24) != 1:\n", 1
+    ).replace(
+        "    fails = []\n", "    fails = []\n    y13 = 2 * x13\n"
+        "    y24 = x24 * (1 + t4 % 2)\n", 1)
+    assert probed.count("\n") == source.count("\n") + 2
+    return probed
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_fail_limit_stops_staged_checks_as_a_per_solution_loop(
+        monkeypatch, compile_checker, convention):
+    probed = _staging_probe(checker_source(convention))
+    monkeypatch.setattr("unitfrac.sweep.checker_source", lambda c: probed)
+    monkeypatch.setattr("unitfrac.sweep.compiled_walk", compiled_walk.__wrapped__)
+    source = walk_source(convention)
+    assert "        _c1 = _gcd(t1, 2 * nn1) != 1\n" in source
+    assert "            _c2 = _gcd(t2, 3 * nn2) != 1\n" in source
+    assert "                    if y13 != 1 and y24 != 1:\n" in source
+    checker = compile_checker(probed)
+    for limit in (1, 7, 40, math.inf):
+        report = sweep_soundness(n_max=8, convention=convention,
+                                 fail_limit=None if limit == math.inf else limit)
+        failures, solutions, skipped = _per_solution_sweep(
+            8, convention, checker, limit)
+        assert report.failures == failures
+        assert (report.solutions, report.skipped) == (solutions, skipped)
+        assert report.complete == (limit == math.inf)
+    assert {f.check for f in failures} >= {
+        "coprime:t1", "coprime:t2", "coprime:x13*x24"}
