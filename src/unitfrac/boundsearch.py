@@ -173,7 +173,8 @@ def _first_packings(
     Each of `covers` is a position set that every support meets, so no
     more sets fit than the capacity left on it.  A branch that cannot
     reach a depth no earlier branch reached holds no first arrival, and
-    the scan skips it.
+    the scan skips it.  The scan recurses once per set, so a packing of
+    more sets than the recursion limit allows raises InputError.
     """
     vec = list(vec)
     chosen: List[int] = []
@@ -207,7 +208,10 @@ def _first_packings(
                     return True
         return False
 
-    scan(0)
+    try:
+        scan(0)
+    except RecursionError:
+        raise InputError("packing too deep to scan") from None
     return firsts
 
 
@@ -861,8 +865,7 @@ def replay_witness(doc: Mapping) -> DerivedBound:
         raise InputError("witness raw pattern does not replay")
     try:
         _, apps = pattern_reductions(raw.pattern)
-    except RecursionError:
-        # the scan recurses once per application
+    except InputError:  # combine() writes only known symbols: too deep
         raise InputError("witness too large to replay") from None
     if apps != stored_apps:
         raise InputError("witness reductions do not replay")

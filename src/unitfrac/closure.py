@@ -14,13 +14,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from . import params as P
 from .errors import check_integer
-
-if TYPE_CHECKING:
-    from .catalog import ClosureRule
 
 ParamSet = FrozenSet[str]
 
@@ -38,46 +35,39 @@ CORE_DEFINING_SETS: Tuple[ParamSet, ...] = (
 )
 
 
-class CompiledRules:
-    """One (input mask, output mask) pair per rule, closed by repeated passes.
-
-    Each pass fires every rule whose inputs are all known; the loop stops
-    after a pass that adds nothing.  There is no work queue: with 96 rules
-    over 21 parameters a full pass costs less than the queue's bookkeeping.
-    """
-
-    def __init__(self, rules: Sequence[ClosureRule]):
-        self.masks = tuple(
-            (P.params_to_mask(r.inputs), P.params_to_mask(r.outputs))
-            for r in rules)
-
-    def closure_mask(self, mask: int) -> int:
-        before = -1
-        while before != mask:
-            before = mask
-            for need, give in self.masks:
-                if need & ~mask == 0:
-                    mask |= give
-        return mask
-
-
 @lru_cache(maxsize=None)
-def _default_compiled(convention: str) -> CompiledRules:
+def _rule_masks(convention: str) -> Tuple[Tuple[int, int], ...]:
     from .catalog import build_rules
-    return CompiledRules(build_rules(convention))
+    return tuple((P.params_to_mask(r.inputs), P.params_to_mask(r.outputs))
+                 for r in build_rules(convention))
+
+
+def _closure_mask(mask: int, convention: str) -> int:
+    """Fire every rule whose inputs are all known, in passes over the
+    (input mask, output mask) pairs, until a pass adds nothing.
+
+    There is no work queue: with 96 rules over 21 parameters a full pass
+    costs less than the queue's bookkeeping.
+    """
+    rules = _rule_masks(convention)
+    before = -1
+    while before != mask:
+        before = mask
+        for need, give in rules:
+            if need & ~mask == 0:
+                mask |= give
+    return mask
 
 
 def closure(s: Iterable[str], convention: str = "standard") -> ParamSet:
     """Least fixpoint of the rule system above the given set."""
-    compiled = _default_compiled(convention)
-    closed = compiled.closure_mask(P.params_to_mask(s))
-    return frozenset(P.mask_to_params(closed))
+    return frozenset(P.mask_to_params(
+        _closure_mask(P.params_to_mask(s), convention)))
 
 
 def is_defining(s: Iterable[str], convention: str = "standard") -> bool:
     """True iff the closure of s covers all eleven x-parameters."""
-    compiled = _default_compiled(convention)
-    return P.X_MASK & ~compiled.closure_mask(P.params_to_mask(s)) == 0
+    return P.X_MASK & ~_closure_mask(P.params_to_mask(s), convention) == 0
 
 
 def minimal_defining_sets(max_size: int,
@@ -90,7 +80,7 @@ def minimal_defining_sets(max_size: int,
     construction.
     """
     check_integer(max_size, "max_size", 0, P.N_PARAMS)
-    compiled = _default_compiled(convention)
+    P.check_convention(convention)
     found_masks: List[int] = []
     found_sets: List[ParamSet] = []
     for size in range(1, max_size + 1):
@@ -100,7 +90,7 @@ def minimal_defining_sets(max_size: int,
                 mask |= 1 << i
             if any(f & ~mask == 0 for f in found_masks):
                 continue
-            if P.X_MASK & ~compiled.closure_mask(mask) == 0:
+            if P.X_MASK & ~_closure_mask(mask, convention) == 0:
                 found_masks.append(mask)
                 found_sets.append(frozenset(P.mask_to_params(mask)))
     return found_sets
@@ -108,16 +98,16 @@ def minimal_defining_sets(max_size: int,
 
 def sort_sets(sets: Iterable[ParamSet]) -> List[ParamSet]:
     """Canonical order: by cardinality, then lexicographic on parameter ids."""
-    return sorted(
-        sets, key=lambda s: (len(s), tuple(P.PARAM_INDEX[p] for p in P.sort_params(s)))
-    )
+    def key(s: ParamSet) -> Tuple[int, Tuple[int, ...]]:
+        P.params_to_mask(s)  # InputError on a str or an unknown name
+        return len(s), tuple(P.PARAM_INDEX[p] for p in P.sort_params(s))
+    return sorted(sets, key=key)
 
 
 def closure_report(s: Iterable[str], convention: str = "standard") -> Dict:
     """JSON-ready summary of one closure query."""
     mask = P.params_to_mask(s)
-    compiled = _default_compiled(convention)
-    closed = compiled.closure_mask(mask)
+    closed = _closure_mask(mask, convention)
     return {
         "set": list(P.mask_to_params(mask)),
         "defining": P.X_MASK & ~closed == 0,

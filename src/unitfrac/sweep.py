@@ -21,14 +21,12 @@ inequality templates in `catalog`.  Its only compiled form is the walk,
 one per convention (`walk_source`): the enumeration's loops over a1 and a2
 and its divisor tail for (a3, a4), with each pattern value computed in the
 loop where its inputs are known, and the layered gcds and the checker's
-body inlined at the leaf on local integers.  Each of those statements
-runs in the shallowest loop that binds its inputs: coprime:t1 is decided
-once per a1, coprime:t2 and gcd(t1, t2) once per a2, and a pair-gcd check
-calls gcd only when neither argument is 1.  Under the "reduced"
-convention the pair quotients are not always integral; such solutions
-carry no decomposition to check and are counted as skipped rather than
-failed.  `decomposition.verify` is the one-solution form: it reports the
-same check keys and stops where this checker stops.
+body inlined at the leaf on local integers, where a pair-gcd check calls
+gcd only when neither argument is 1.  Under the "reduced" convention the
+pair quotients are not always integral; such solutions carry no
+decomposition to check and are counted as skipped rather than failed.
+`decomposition.verify` is the one-solution form: it reports the same
+check keys and stops where this checker stops.
 """
 
 from __future__ import annotations
@@ -107,12 +105,8 @@ STATS_KEYS = ("a1_nodes", "a2_nodes", "tail_calls", "solutions", "skipped")
 # pattern_data from a per-n cache.
 _LOOP_PATTERN = ("n1", "nn1", "n2", "nn2", "d12", "n3", "n4")
 
-# The enumeration's loops over a1, a2 and the tail's divisors d.  The
-# heads of the a1 and a2 loops compute the fraction left for the terms
-# after a_i and the pattern values of a_i.
-_A1_LOOP = "for a1 in range(n // m + 1, 4 * n // m + 1):"
-_A2_LOOP = "for a2 in range(max(a1, q1 // p1 + 1), 3 * q1 // p1 + 1):"
-_TAIL_LOOP = "for d in sorted(_tail(a2, p2, q2)):"
+# The heads of the enumeration's loops over a1 and a2: the fraction left
+# for the terms after a_i and the pattern values of a_i.
 _A1_HEAD = [
     "a1_nodes += 1",
     "n1 = _gcd(a1, n)",
@@ -138,22 +132,11 @@ _A2_HEAD = [
     "qq = q2 * q2",
 ]
 
-_ASSIGNED = re.compile(r"(?:for )?(\w+(?:, \w+)*)(?: in | (?://|\+)?= )")
 _PAIR_CHECK = re.compile(r"if _gcd\((\w+), (\w+)\) != 1:")
 
 
 def _indented(lines: List[str], depth: int = 1) -> List[str]:
     return ["    " * depth + line for line in lines]
-
-
-def _assigned(line: str) -> List[str]:
-    # the names a generated statement binds: its targets, or a for's
-    match = _ASSIGNED.match(line.strip())
-    return match.group(1).split(", ") if match else []
-
-
-def _reads(expr: str) -> set:
-    return set(re.findall(r"[A-Za-z_]\w*", re.sub(r"'[^']*'", "", expr)))
 
 
 def _check_block(convention: str) -> List[str]:
@@ -168,61 +151,18 @@ def _check_block(convention: str) -> List[str]:
     return lines
 
 
-def _staged(block: List[str], heads: List[List[str]],
-            leaf: List[str]) -> Tuple[List[List[str]], List[str]]:
-    """Move each statement of the leaf's `block` to the shallowest loop.
-
-    `heads` are the enclosing loops, each its `for` line and its head
-    statements, outermost first, and `leaf` the innermost loop's `for`
-    line and its other statements.  A one-line assignment
-    whose name the block binds only there moves, whole, to the end of the
-    head of the deepest loop that binds a name it reads.  So does the
-    condition of an `if` statement, as `_c<k> = <condition>`; the whole
-    `if` statement stays in place under `if _c<k>:`.  Any other
-    `if _gcd(a, b) != 1:` statement goes under `if a != 1 and b != 1:`.
-    A statement that reads no loop's name, or one the leaf binds, stays
-    as it is.  Returns the lines for the end of each head and the block.
-    """
-    depth: Dict[str, int] = {}
-    for level, head in enumerate(heads):
-        depth.update((name, level) for line in head
-                     for name in _assigned(line))
-    bound = [name for line in block for name in _assigned(line)]
-    depth.update((name, len(heads)) for name in bound)
-    depth.update((name, len(heads)) for line in leaf
-                 for name in _assigned(line))
-    hoisted: List[List[str]] = [[] for _ in heads]
-    kept: List[str] = []
-    flags = 0
-    starts = [i for i, line in enumerate(block) if not line.startswith(" ")]
-    for start, end in zip(starts, starts[1:] + [len(block)]):
-        statement = block[start:end]
-        line = statement[0]
-        names = _assigned(line)
-        if line.startswith("if ") and line.endswith(":"):
-            expr = line[3:-1]
-        elif len(names) == 1 and " = " in line and bound.count(names[0]) == 1:
-            expr = line.split(" = ", 1)[1]
-        else:
-            kept += statement
-            continue
-        level = max((depth.get(name, -1) for name in _reads(expr)),
-                    default=-1)
-        pair = _PAIR_CHECK.fullmatch(line)
-        if 0 <= level < len(heads):
-            if names:
-                hoisted[level].append(line)
-                depth[names[0]] = level
-                continue
-            flags += 1
-            hoisted[level].append("_c%d = %s" % (flags, expr))
-            kept += ["if _c%d:" % flags] + _indented(statement)
-        elif pair:
-            kept += ["if %s != 1 and %s != 1:" % pair.groups()] + _indented(
-                statement)
-        else:
-            kept += statement
-    return hoisted, kept
+def _guarded(block: List[str]) -> List[str]:
+    # Each top-level `if _gcd(a, b) != 1:` statement, whole, under
+    # `if a != 1 and b != 1:`: gcd(a, b) is 1 when either is 1.
+    lines: List[str] = []
+    pair = None
+    for line in block:
+        if not line.startswith(" "):
+            pair = _PAIR_CHECK.fullmatch(line)
+            if pair:
+                lines.append("if %s != 1 and %s != 1:" % pair.groups())
+        lines.append("    " + line if pair else line)
+    return lines
 
 
 def walk_source(convention: str = "standard") -> str:
@@ -232,14 +172,15 @@ def walk_source(convention: str = "standard") -> str:
     a2 and its divisor tail for (a3, a4), in the same lexicographic order.
     Each pattern value is computed in the loop where its inputs are known;
     `patterns`, one dict per n, caches the rest of the pattern data.  At
-    each leaf the layered gcds and the checker's body run on locals, each
-    statement staged by `_staged`: the gcds and checks that read only t1
-    and nn1, or also t2 and nn2, run once per a1 or per a2 loop, and a
-    pair-gcd check runs its gcd only when neither argument is 1.  Only a
-    failing check builds the solution tuple, as a SweepFailure.  Under
-    "reduced" a non-integral quotient is counted as skipped instead.
-    The walk returns (solutions, skipped, a1 nodes, a2 nodes, failures)
-    as soon as the failures reach `room`, or at the end.
+    each leaf the layered gcds and the checker's body run on locals, as
+    they stand but for one rewrite (`_guarded`): a pair-gcd check runs its
+    gcd only when neither argument is 1.  Every check runs at the leaf;
+    deciding coprime:t1 once per a1 and coprime:t2 once per a2 saved 2%
+    or less of the sweep.  Only a failing check builds the solution
+    tuple, as a SweepFailure.  Under "reduced" a non-integral quotient is
+    counted as skipped instead.  The walk returns (solutions, skipped,
+    a1 nodes, a2 nodes, failures) as soon as the failures reach `room`,
+    or at the end.
     """
     singles = tuple(P.x_name((i,)) for i in P.INDICES)
     gcds = [line for line in layered_gcd_lines()
@@ -253,7 +194,7 @@ def walk_source(convention: str = "standard") -> str:
                   "else:", "    " + failure]
     else:
         record = [failure]
-    leaf_head = [
+    leaf = [
         "a3 = (d + q2) // p2",
         "a4 = (qq // d + q2) // p2",
         "solutions += 1",
@@ -267,32 +208,27 @@ def walk_source(convention: str = "standard") -> str:
         "    data = patterns[n1, n2, n3, n4] = (%s)"
         % ", ".join("data[%d]" % i for i in cached),
         "%s = data" % ", ".join(PATTERN_ARGS[i] for i in cached),
-    ]
-    ending = [
+        "while True:",
+    ] + _indented(_guarded(gcds + [
+        "if %s:" % " or ".join("%s != 1" % x for x in singles),
+        "    fails = [key for key, x in (%s) if x != 1]"
+        % ", ".join("('singleton:%s', %s)" % (x, x) for x in singles),
+        "    break",
+    ] + _check_block(convention))) + [
         "if fails:",
         "    for key in fails:",
     ] + _indented(record, 2) + [
         "    if len(found) >= room:",
         "        " + result,
     ]
-    checks = gcds + [
-        "if %s:" % " or ".join("%s != 1" % x for x in singles),
-        "    fails = [key for key, x in (%s) if x != 1]"
-        % ", ".join("('singleton:%s', %s)" % (x, x) for x in singles),
-        "    break",
-    ] + _check_block(convention)
-    (a1_more, a2_more), block = _staged(
-        checks, [[_A1_LOOP] + _A1_HEAD, [_A2_LOOP] + _A2_HEAD],
-        [_TAIL_LOOP] + leaf_head + ending)
-    leaf = leaf_head + ["while True:"] + _indented(block) + ending
     body = [
         "found = []",
         "solutions = skipped = a1_nodes = a2_nodes = 0",
-        _A1_LOOP,
-    ] + _indented(_A1_HEAD + a1_more + [
-        _A2_LOOP,
-    ] + _indented(_A2_HEAD + a2_more + [
-        _TAIL_LOOP,
+        "for a1 in range(n // m + 1, 4 * n // m + 1):",
+    ] + _indented(_A1_HEAD + [
+        "for a2 in range(max(a1, q1 // p1 + 1), 3 * q1 // p1 + 1):",
+    ] + _indented(_A2_HEAD + [
+        "for d in sorted(_tail(a2, p2, q2)):",
     ] + _indented(leaf))) + [result]
     return function_source(_WALK_NAME, ("m", "n", "patterns", "room"), body)
 

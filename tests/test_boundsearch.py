@@ -223,6 +223,16 @@ def test_max_feasible_g():
     assert max_feasible_g({"x12": 1}, 6) == 0
 
 
+def test_packings_deeper_than_the_recursion_limit_are_refused():
+    # each needs one level of the packing scan per set: 1500 or more
+    for call in (lambda: pattern_reductions({"n1": 1500, "n2": 1500,
+                                             "d12": 1500}),
+                 lambda: partition({"z12": 2000, "z34": 2000}, 1500),
+                 lambda: max_feasible_g({"z12": 2000, "z34": 2000}, 5000)):
+        with pytest.raises(InputError, match="too deep to scan"):
+            call()
+
+
 # zero-heavy exponents, so that every packing number 0..6 turns up
 @settings(deadline=None)
 @given(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=len(P.PARAM_ORDER),

@@ -65,6 +65,10 @@ def test_parameter_set_given_as_a_string_is_refused():
         with pytest.raises(InputError, match="unknown parameter 'q1'"):
             call({"q1"})
         assert call(("z12", "z34")) == call({"z12", "z34"})
+    with pytest.raises(InputError, match="'z12'"):
+        sort_sets(["z12"])
+    with pytest.raises(InputError, match="unknown parameter 'q1'"):
+        sort_sets([{"q1"}])
 
 
 def test_minimal_sets_size_two():

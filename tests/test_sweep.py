@@ -322,22 +322,46 @@ def test_walk_keeps_every_check_key_in_order(convention):
     assert _KEY.findall(walk_source(convention)) == keys
 
 
-def test_walk_stages_checks_in_the_loops_that_bind_their_inputs():
+def test_walk_guards_pair_gcd_checks_at_the_leaf():
     lines = walk_source().splitlines()
-    # the a1 loop's head is indented 8 spaces, the a2 loop's 12
-    assert "        _c1 = _gcd(t1, nn1) != 1" in lines
-    assert "            g12 = _gcd(t1, t2)" in lines
-    assert "            _c2 = _gcd(t2, nn2) != 1" in lines
+    # the leaf's `while True:` block is indented 20 spaces
     assert lines.count("                    g13 = _gcd(t1, t3)") == 1
     assert "                    if x12 != 1 and x34 != 1:" in lines
 
 
-# sha256 of walk_source(convention): the staged walk, byte for byte
+_GUARD = re.compile(r"( *)if (\w+) != 1 and (\w+) != 1:")
+
+
+@pytest.mark.parametrize("convention", P.CONVENTIONS)
+def test_each_guard_wraps_its_own_pair_gcd_and_nothing_else(
+        monkeypatch, convention):
+    lines = walk_source(convention).splitlines()
+    monkeypatch.setattr("unitfrac.sweep._guarded", lambda block: block)
+    unguarded = walk_source(convention).splitlines()
+    kept, indent, guards = [], None, 0
+    for i, line in enumerate(lines):
+        guard = _GUARD.fullmatch(line)
+        if guard:
+            pad, a, b = guard.groups()
+            assert lines[i + 1] == "%s    if _gcd(%s, %s) != 1:" % (pad, a, b)
+            indent, guards = pad, guards + 1
+            continue
+        if indent is not None and line.startswith(indent + "    "):
+            line = line[4:]
+        else:
+            indent = None
+        kept.append(line)
+    # the four coprime:t<i> checks and the incomparable pairs
+    assert guards == 4 + len(INCOMPARABLE_PAIRS)
+    assert kept == unguarded
+
+
+# sha256 of walk_source(convention): the guarded walk, byte for byte
 _WALK_PINS = {
-    "standard": (293, "53d694091586d35a9a7ddb747f8be59a"
-                      "82cab961a7f7d4ec21931730c9098850"),
-    "reduced": (296, "9d90cbc4041f9867c651b5ef82a0a85a"
-                     "0875ce0326f084bd32653a3395672a8e"),
+    "standard": (291, "ab9b3824f77d61c9ee72760e4f1801ab"
+                      "3228fef7f0a072dfff4379d2d6138a0d"),
+    "reduced": (294, "57267835d8bd9a868054b362a73c371f"
+                     "cdd1c241f03f001038bc50d21a78384e"),
 }
 
 
@@ -385,8 +409,8 @@ def test_fail_limit_stops_staged_checks_as_a_per_solution_loop(
     monkeypatch.setattr("unitfrac.sweep.checker_source", lambda c: probed)
     monkeypatch.setattr("unitfrac.sweep.compiled_walk", compiled_walk.__wrapped__)
     source = walk_source(convention)
-    assert "        _c1 = _gcd(t1, 2 * nn1) != 1\n" in source
-    assert "            _c2 = _gcd(t2, 3 * nn2) != 1\n" in source
+    assert "                    if _gcd(t1, 2 * nn1) != 1:\n" in source
+    assert "                    if _gcd(t2, 3 * nn2) != 1:\n" in source
     assert "                    if y13 != 1 and y24 != 1:\n" in source
     checker = compile_checker(probed)
     for limit in (1, 7, 40, math.inf):
