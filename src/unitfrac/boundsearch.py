@@ -25,13 +25,12 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
-from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from . import params as P
 from .catalog import InequalityTemplate, build_inequalities, inequality_index
@@ -50,6 +49,9 @@ _SYMBOL_POS = {s: i for i, s in enumerate(P.PATTERN_SYMBOLS)}
 
 def normalize_combination(combination: Combination) -> Dict[str, int]:
     """Validated copy with templates in canonical order, zeros dropped."""
+    if not isinstance(combination, Mapping):
+        raise InputError("combination must map template keys to"
+                         " multiplicities, got %s" % type(combination).__name__)
     out: Dict[str, int] = {}
     for key in combination:
         if key not in _TEMPLATE_POS:
@@ -71,8 +73,7 @@ def _format_power(symbol: str, exp: int) -> str:
     return symbol if exp == 1 else "%s^%d" % (symbol, exp)
 
 
-@dataclass(frozen=True)
-class MonomialInequality:
+class MonomialInequality(NamedTuple):
     """prod(param^exponents) <= constant * n^n_exp / (m^m_exp * pattern)."""
 
     combination: Mapping[str, int]
@@ -372,8 +373,7 @@ def _packing_cap(covers: Sequence[_Cover], vec: Sequence[int],
                           for cover in covers])
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """g parts, each a base library set plus a share of the leftover.
 
     Part i is bases[i] with every parameter counted once; the leftover
@@ -400,6 +400,9 @@ class Partition:
 
 
 def _exponent_vector(lhs: Mapping[str, int]) -> List[int]:
+    if not isinstance(lhs, Mapping):
+        raise InputError("exponents must map parameter names to"
+                         " exponents, got %s" % type(lhs).__name__)
     vec = [0] * P.N_PARAMS
     for p, e in lhs.items():
         if p not in P.PARAM_INDEX:
@@ -459,8 +462,7 @@ def max_feasible_g(
 # derived bounds and the search
 
 
-@dataclass(frozen=True)
-class DerivedBound:
+class DerivedBound(NamedTuple):
     """One witnessed bound: smallest of g parts <= const^(1/g) n^(A/g)/m^(B/g)."""
 
     raw: MonomialInequality  # as combine() returns it, pattern included
@@ -470,7 +472,7 @@ class DerivedBound:
     @property
     def inequality(self) -> MonomialInequality:
         """The bound with each reduction absorbing one n, pattern dropped."""
-        return replace(self.raw, n_exp=self.A, pattern={})
+        return self.raw._replace(n_exp=self.A, pattern={})
 
     @property
     def raw_pattern(self) -> Mapping[str, int]:
@@ -516,8 +518,7 @@ def format_combination(combination: Combination) -> str:
     ) or "1"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     frontier: Tuple[DerivedBound, ...]
     examined: int
     # examined combinations decided without pattern_reductions

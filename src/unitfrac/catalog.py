@@ -40,10 +40,9 @@ first term; three cofactor size bounds follow.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import params as P
 from .params import check_convention
@@ -56,8 +55,7 @@ Subset = Tuple[int, ...]
 # coefficient-times-monomial terms
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One summand: m^m_exp * prod(num_syms)/prod(den_syms) * prod(params).
 
     num_syms/den_syms are environment keys for pattern data (nn_i = n/n_i,
@@ -99,8 +97,7 @@ class Term:
 # closure rules
 
 
-@dataclass(frozen=True)
-class ClosureRule:
+class ClosureRule(NamedTuple):
     """One catalog equation with its closure semantics.
 
     `inputs` are the parameters that must already be known for the rule to
@@ -180,7 +177,7 @@ def _rearranged(source: Optional[Subset], blocks: Tuple[Subset, ...],
     for term in rhs:
         common &= Counter(term.params)
     # repeated parameters sit side by side, so elements() keeps their order
-    lhs, *rhs = (replace(t, params=tuple((Counter(t.params) - common).elements()))
+    lhs, *rhs = (t._replace(params=tuple((Counter(t.params) - common).elements()))
                  for t in [lhs] + rhs)
     return lhs, tuple(rhs)
 
@@ -270,8 +267,7 @@ def export_rules(rules: Sequence[ClosureRule]) -> str:
 # inequality templates
 
 
-@dataclass(frozen=True)
-class InequalityTemplate:
+class InequalityTemplate(NamedTuple):
     """A bound  prod(lhs) <= constant * n^n_exp * m^m_exp * prod(rhs) / pattern.
 
     lhs/rhs map parameter names to nonnegative exponents; pattern maps

@@ -190,7 +190,7 @@ def _cmd_search(args) -> int:
              "" if result.complete else ", PARTIAL", result.elapsed))
     for bound in result.frontier:
         print(bound.describe())
-        print("    %s" % bound.inequality)
+        print("    %s" % (bound.inequality,))
     return 0
 
 

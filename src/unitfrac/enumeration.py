@@ -23,10 +23,9 @@ solution tuple is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .arith import factorize, reduce_fraction
 from .errors import check_integer
@@ -34,22 +33,48 @@ from .errors import check_integer
 MAX_TERMS = 6
 
 
-@dataclass(frozen=True)
 class SolutionTuple:
-    """A single representation; validates itself on construction."""
+    """A single representation; validates itself on construction.
 
-    denominators: Tuple[int, ...]
-    fraction: Fraction
+    Immutable; it iterates and measures its denominators, and equals another
+    SolutionTuple with the same denominators and fraction.
+    """
 
-    def __post_init__(self):
-        if any(a <= 0 for a in self.denominators):
+    __slots__ = ("denominators", "fraction")
+
+    def __init__(self, denominators: Tuple[int, ...], fraction: Fraction):
+        if any(a <= 0 for a in denominators):
             raise ValueError("denominators must be positive")
-        if any(a > b for a, b in zip(self.denominators, self.denominators[1:])):
+        if any(a > b for a, b in zip(denominators, denominators[1:])):
             raise ValueError("denominators must be nondecreasing")
-        if sum(Fraction(1, a) for a in self.denominators) != self.fraction:
+        if sum(Fraction(1, a) for a in denominators) != fraction:
             raise ValueError(
-                "denominators %r do not sum to %s" % (self.denominators, self.fraction)
+                "denominators %r do not sum to %s" % (denominators, fraction)
             )
+        object.__setattr__(self, "denominators", denominators)
+        object.__setattr__(self, "fraction", fraction)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):  # pickle and copy without __setattr__
+        return self.__class__, (self.denominators, self.fraction)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.denominators, self.fraction)
+                == (other.denominators, other.fraction))
+
+    def __hash__(self):
+        return hash((self.denominators, self.fraction))
+
+    def __repr__(self):
+        return "%s(denominators=%r, fraction=%r)" % (
+            self.__class__.__qualname__, self.denominators, self.fraction)
 
     def __iter__(self):
         return iter(self.denominators)
@@ -58,8 +83,7 @@ class SolutionTuple:
         return len(self.denominators)
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     fraction: Fraction
     k: int
     solutions: List[SolutionTuple]

@@ -64,10 +64,16 @@ CONTAINING = {
 
 
 def params_to_mask(names: Iterable[str]) -> int:
-    """Bitmask of parameter names; InputError on a str or an unknown name."""
+    """Bitmask of parameter names; InputError on a str, on a value that is
+    not a collection, or on an unknown name."""
     if isinstance(names, str):
         raise InputError("parameter set %r is a string, not a collection"
                          " of parameter names" % names)
+    try:
+        names = iter(names)
+    except TypeError:
+        raise InputError("parameter set %r is not a collection of parameter"
+                         " names" % (names,)) from None
     mask = 0
     for p in names:
         try:

@@ -101,6 +101,22 @@ def test_combine_rejects_uncleared_denominator():
         combine({})
 
 
+def test_combination_that_is_not_a_mapping_is_refused():
+    for bad in (None, [("t1", 1)], 3):
+        with pytest.raises(InputError, match="combination must map"):
+            combine(bad)
+        with pytest.raises(InputError, match="combination must map"):
+            normalize_combination(bad)
+
+
+def test_exponents_that_are_not_a_mapping_are_refused():
+    for bad in (None, [("z23", 1)], 3):
+        with pytest.raises(InputError, match="exponents must map"):
+            partition(bad, 1)
+        with pytest.raises(InputError, match="exponents must map"):
+            max_feasible_g(bad, 2)
+
+
 def test_pattern_reductions():
     # no complete instance inside combination A's pattern
     assert pattern_reductions({"n1": 3, "n2": 2, "n3": 1, "d34": 1,

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from unitfrac import params as P
+from unitfrac.boundsearch import search
 from unitfrac.catalog import build_rules
 from unitfrac.closure import (
     CORE_DEFINING_SETS,
@@ -69,6 +70,15 @@ def test_parameter_set_given_as_a_string_is_refused():
         sort_sets(["z12"])
     with pytest.raises(InputError, match="unknown parameter 'q1'"):
         sort_sets([{"q1"}])
+
+
+def test_parameter_set_that_is_not_a_collection_is_refused():
+    calls = [lambda: closure(None), lambda: closure(5),
+             lambda: is_defining(3), lambda: closure_report(None),
+             lambda: sort_sets([None]), lambda: search(2, library=[None])]
+    for call in calls:
+        with pytest.raises(InputError, match="not a collection"):
+            call()
 
 
 def test_minimal_sets_size_two():

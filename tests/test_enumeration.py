@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from unitfrac.enumeration import (
     MAX_TERMS,
+    SolutionTuple,
     _iter_raw,
     _iter_scan,
     _tail_divisors,
@@ -175,6 +178,27 @@ def test_input_validation():
         enumerate_representations(3, 7, 6, cap=-1)
     with pytest.raises(InputError):
         enumerate_naive(3, 7, 6, cap=-1)
+
+
+def test_solution_tuple_checks_itself_and_is_an_immutable_value():
+    sol = SolutionTuple((2, 3, 6), Fraction(1))
+    same = SolutionTuple((2, 3, 6), Fraction(1))
+    assert sol == same and hash(sol) == hash(same)
+    assert sol != SolutionTuple((2, 4, 4), Fraction(1))
+    assert sol != (2, 3, 6)  # a value of its own, not a tuple
+    assert list(sol) == [2, 3, 6] and len(sol) == 3
+    assert repr(sol) == (
+        "SolutionTuple(denominators=(2, 3, 6), fraction=Fraction(1, 1))")
+    assert copy.copy(sol) == sol == pickle.loads(pickle.dumps(sol))
+    for name in ("denominators", "fraction", "other"):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(sol, name, 1)
+    with pytest.raises(AttributeError, match="cannot delete"):
+        del sol.fraction
+    assert sol.denominators == (2, 3, 6) and sol.fraction == 1
+    for bad in (((0, 3, 6), 1), ((3, 2, 6), 1), ((2, 3, 7), 1)):
+        with pytest.raises(ValueError):
+            SolutionTuple(*bad)
 
 
 def test_non_integer_arguments_are_input_errors():

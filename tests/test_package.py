@@ -97,6 +97,31 @@ print(json.dumps([before, catalog.build_rules.cache_info().currsize]))
     assert built[1] > 0
 
 
+HAS_DATACLASSES = """
+import sys
+print(json.dumps("dataclasses" in sys.modules))
+"""
+
+
+def test_count_and_search_load_no_dataclasses():
+    count = fresh("""
+import json
+from unitfrac import count_representations
+count_representations(1, 1, 4)
+""" + HAS_DATACLASSES)
+    searched = fresh("""
+import json
+from unitfrac import default_library, replay_witness, search, witness_to_json
+result = search(3, library=default_library())
+replay_witness(json.loads(witness_to_json(result.frontier[0])))
+""" + HAS_DATACLASSES)
+    cli_count = fresh(RUN_CLI + HAS_DATACLASSES, "count", "1", "1", "4")
+    cli_search = fresh(RUN_CLI + HAS_DATACLASSES, "search", "--budget", "2")
+    assert [count, searched, cli_count, cli_search] == [False] * 4
+    # the check itself sees the modules that do use dataclasses
+    assert fresh("import json\nimport unitfrac.sweep" + HAS_DATACLASSES)
+
+
 @pytest.mark.parametrize("first", ["import unitfrac.boundsearch",
                                    "from unitfrac import search"])
 def test_closure_is_the_function_in_every_import_order(first):
