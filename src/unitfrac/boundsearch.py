@@ -250,6 +250,10 @@ def pattern_reductions(
     order (`P.Z_SUBSETS`), applications listed in that order; witnesses
     store this choice as their `reductions`.
     """
+    # a plain dict, as the search passes, skips the slower Mapping check
+    if type(pattern) is not dict and not isinstance(pattern, Mapping):
+        raise InputError("pattern must map pattern symbols to counts,"
+                         " got %s" % type(pattern).__name__)
     for s, c in pattern.items():
         if s not in _SYMBOL_POS:
             raise InputError("unknown pattern symbol %r" % s)
@@ -337,8 +341,13 @@ def _library_supports(library: Optional[Sequence[FrozenSet[str]]]) -> _Checked:
     """
     if library is None:
         return _checked_library(_DEFAULT_LIBRARY)
+    try:
+        entries = iter(library)
+    except TypeError:
+        raise InputError("library %r is not a collection of parameter"
+                         " sets" % (library,)) from None
     sets = []
-    for s in library:
+    for s in entries:
         P.params_to_mask(s)
         sets.append(frozenset(s))
     return _checked_library(tuple(sets))

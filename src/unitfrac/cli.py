@@ -375,7 +375,7 @@ def _cmd_sweep(args) -> int:
     else:
         print(report.summary())
         for failure in report.failures[:20]:
-            print("  FAIL %s" % failure)
+            print("  FAIL %s" % (failure,))
         if len(report.failures) > 20:
             print("  ... %d more" % (len(report.failures) - 20))
     return 0 if report.ok else 2

@@ -15,15 +15,16 @@ passes the first and fourth checks.  The test
 `test_every_rule_follows_from_master_and_quotient_definitions` in
 tests/test_catalog.py proves this symbolically under both conventions.
 
-The checks are one function body, `checker_source(convention)`, built
-from the same quotient lines that `decompose()` runs and from the
-inequality templates in `catalog`.  Its only compiled form is the walk,
-one per convention (`walk_source`): the enumeration's loops over a1 and a2
-and its divisor tail for (a3, a4), with each pattern value computed in the
-loop where its inputs are known, and the layered gcds and the checker's
-body inlined at the leaf on local integers, where a pair-gcd check calls
-gcd only when neither argument is 1.  Under the "reduced" convention the
-pair quotients are not always integral; such solutions carry no
+The checks are one function body, `checker_source(convention)`, built from
+the same quotient lines that `decompose()` runs and from the inequality
+templates in `catalog`; the generators live in `codegen`, so the sweep loads
+neither `decomposition` nor `dataclasses`.  Its only compiled form is the
+walk, one per convention (`walk_source`): the enumeration's loops over a1
+and a2 and its divisor tail for (a3, a4), with each pattern value computed
+in the loop where its inputs are known, and the layered gcds and the
+checker's body inlined at the leaf on local integers, where a pair-gcd check
+calls gcd only when neither argument is 1.  Under the "reduced" convention
+the pair quotients are not always integral; such solutions carry no
 decomposition to check and are counted as skipped rather than failed.
 `decomposition.verify` is the one-solution form: it reports the same
 check keys and stops where this checker stops.
@@ -34,15 +35,14 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import params as P
 from .catalog import InequalityTemplate, build_inequalities
-from .decomposition import (INCOMPARABLE_PAIRS, PATTERN_ARGS,
-                            function_source, layered_gcd_lines, pattern_data,
-                            product_expr, quotient_lines)
+from .codegen import (INCOMPARABLE_PAIRS, PATTERN_ARGS, function_source,
+                      layered_gcd_lines, pattern_data, product_expr,
+                      quotient_lines)
 from .enumeration import _tail_divisors
 from .errors import InvariantError, check_integer
 from .params import check_convention
@@ -247,8 +247,7 @@ def compiled_walk(convention: str = "standard") -> Callable:
     return func
 
 
-@dataclass(frozen=True)
-class SweepFailure:
+class SweepFailure(NamedTuple):
     """One failed check on one enumerated solution."""
 
     m: int
@@ -261,22 +260,19 @@ class SweepFailure:
                                        self.denominators)
 
 
-@dataclass
 class SweepReport:
     """Outcome of a soundness sweep."""
 
-    n_max: int
-    m_factor: int
-    convention: str
-    fractions: int = 0
-    solutions: int = 0
-    skipped: int = 0
-    failures: List[SweepFailure] = field(default_factory=list)
-    elapsed: float = 0.0
-    complete: bool = True  # False when fail_limit stopped the sweep
-    # per-fraction counters of the walk, keys in STATS_KEYS order
-    stats: Dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(STATS_KEYS, 0))
+    def __init__(self, n_max: int, m_factor: int, convention: str) -> None:
+        self.n_max = n_max
+        self.m_factor = m_factor
+        self.convention = convention
+        self.fractions = self.solutions = self.skipped = 0
+        self.failures: List[SweepFailure] = []
+        self.elapsed = 0.0
+        self.complete = True  # False when fail_limit stopped the sweep
+        # per-fraction counters of the walk, keys in STATS_KEYS order
+        self.stats: Dict[str, int] = dict.fromkeys(STATS_KEYS, 0)
 
     @property
     def ok(self) -> bool:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,16 @@ def test_exponents_that_are_not_a_mapping_are_refused():
             partition(bad, 1)
         with pytest.raises(InputError, match="exponents must map"):
             max_feasible_g(bad, 2)
+
+
+def test_pattern_that_is_not_a_mapping_is_refused():
+    for bad in (None, 5, [("n1", 1)]):
+        with pytest.raises(InputError, match="pattern must map"):
+            pattern_reductions(bad)
+    # a mapping that is not a dict takes the full check and is accepted
+    pattern = {"n1": 1, "n2": 1, "d12": 1}
+    assert pattern_reductions(MappingProxyType(pattern)) == (
+        pattern_reductions(pattern))
 
 
 def test_pattern_reductions():
@@ -890,6 +901,16 @@ def test_counts_exponents_and_sizes_must_be_integers():
 def test_search_rejects_bad_library():
     with pytest.raises(InputError):
         search(4, library=[frozenset({"x12"})])
+
+
+def test_library_that_is_not_a_collection_is_refused():
+    for bad in (5, 2.5):
+        for call in (lambda: search(2, library=bad),
+                     lambda: partition({"z12": 1}, 1, library=bad),
+                     lambda: max_feasible_g({"z12": 1}, 3, library=bad)):
+            with pytest.raises(InputError, match=re.escape(
+                    "library %r is not a collection" % (bad,))):
+                call()
 
 
 def test_partition_and_max_feasible_g_reject_bad_library():

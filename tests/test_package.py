@@ -64,7 +64,7 @@ def test_help_loads_no_enumeration():
 
 def test_sweep_loads_neither_search_nor_asymptotics():
     loaded = loaded_by("import unitfrac.sweep")
-    assert "decomposition" in loaded
+    assert "decomposition" not in loaded
     assert not loaded & {"boundsearch", "asymptotics"}
 
 
@@ -102,6 +102,12 @@ import sys
 print(json.dumps("dataclasses" in sys.modules))
 """
 
+SWEEP_IMPORTS = """
+import sys
+print(json.dumps([name in sys.modules for name in
+                  ("unitfrac.sweep", "dataclasses", "unitfrac.decomposition")]))
+"""
+
 
 def test_count_and_search_load_no_dataclasses():
     count = fresh("""
@@ -115,11 +121,19 @@ from unitfrac import default_library, replay_witness, search, witness_to_json
 result = search(3, library=default_library())
 replay_witness(json.loads(witness_to_json(result.frontier[0])))
 """ + HAS_DATACLASSES)
+    swept = fresh("""
+import json
+from unitfrac import sweep_soundness
+sweep_soundness(3, 4, "reduced")
+""" + SWEEP_IMPORTS)
+    cli_sweep = fresh(RUN_CLI + SWEEP_IMPORTS, "sweep", "--nmax", "3")
     cli_count = fresh(RUN_CLI + HAS_DATACLASSES, "count", "1", "1", "4")
     cli_search = fresh(RUN_CLI + HAS_DATACLASSES, "search", "--budget", "2")
     assert [count, searched, cli_count, cli_search] == [False] * 4
+    # the sweep ran, and loaded neither dataclasses nor decomposition
+    assert swept == cli_sweep == [True, False, False]
     # the check itself sees the modules that do use dataclasses
-    assert fresh("import json\nimport unitfrac.sweep" + HAS_DATACLASSES)
+    assert fresh("import json\nimport unitfrac.decomposition" + HAS_DATACLASSES)
 
 
 @pytest.mark.parametrize("first", ["import unitfrac.boundsearch",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -24,8 +26,9 @@ from unitfrac.decomposition import (INCOMPARABLE_PAIRS, decompose,
 from unitfrac.enumeration import (_iter_raw, count_representations,
                                   enumerate_representations)
 from unitfrac.errors import InputError
-from unitfrac.sweep import (STATS_KEYS, SweepFailure, checker_source,
-                            compiled_walk, sweep_soundness, walk_source)
+from unitfrac.sweep import (STATS_KEYS, SweepFailure, SweepReport,
+                            checker_source, compiled_walk, sweep_soundness,
+                            walk_source)
 
 ARG_ORDER = (("m", "n")
              + tuple("n%d" % i for i in P.INDICES)
@@ -294,6 +297,43 @@ def test_sweep_stats_shape():
     assert stats["skipped"] == report.skipped > 0
     assert 0 < stats["a1_nodes"] <= stats["a2_nodes"] == stats["tail_calls"]
     assert sweep_soundness(n_max=6).stats == dict(stats, skipped=0)
+
+
+def test_sweep_failure_is_a_value():
+    failure = SweepFailure(1, 2, (4, 8, 16, 16), "master")
+    assert str(failure) == "master for 1/2 on (4, 8, 16, 16)"
+    assert "  FAIL %s" % (failure,) == "  FAIL " + str(failure)
+    twin = SweepFailure(m=1, n=2, denominators=(4, 8, 16, 16), check="master")
+    assert failure == twin and hash(failure) == hash(twin)
+    assert failure != failure._replace(check="coprime:t1")
+    for clone in (copy.copy(failure), copy.deepcopy(failure),
+                  pickle.loads(pickle.dumps(failure))):
+        assert clone == failure and type(clone) is SweepFailure
+    with pytest.raises(AttributeError):
+        failure.check = "coprime:t1"
+
+
+def test_sweep_report_fields_and_defaults():
+    report = SweepReport(n_max=5, m_factor=4, convention="reduced")
+    assert (report.n_max, report.m_factor, report.convention) == (
+        5, 4, "reduced")
+    assert (report.fractions, report.solutions, report.skipped,
+            report.failures, report.elapsed, report.complete) == (
+        0, 0, 0, [], 0.0, True)
+    assert list(report.stats.items()) == [(key, 0) for key in STATS_KEYS]
+    assert report.ok
+    assert report.summary() == (
+        "swept 0 fractions / 0 solutions (n <= 5, m <= 4n, reduced): "
+        "0 failures, 0 skipped, 0.0s")
+    # each report owns its failures and stats
+    other = SweepReport(5, 4, "reduced")
+    other.failures.append(SweepFailure(1, 2, (4, 8, 16, 16), "master"))
+    other.stats["solutions"] = 1
+    assert report.failures == [] and report.stats["solutions"] == 0
+    assert not other.ok
+    other.complete = False
+    assert other.summary().endswith(
+        "1 failures, 0 skipped, 0.0s; PARTIAL: stopped at the fail limit")
 
 
 def test_mfactor_past_four_counts_fractions_without_walking():
