@@ -32,7 +32,7 @@ _EXPORTS = {
         replay_witness search witness_to_json""",
     "catalog": """FAMILY_NAMES ClosureRule InequalityTemplate Term
         build_inequalities build_rules export_rules family_counts
-        inequality_index rule_index""",
+        inequality_index""",
     "closure": """CORE_DEFINING_SETS closure closure_report is_defining
         minimal_defining_sets sort_sets""",
     "decomposition": """Decomposition VerificationReport decompose pattern_of

@@ -9,7 +9,8 @@ tail factors its denominator q and reads tau(q^2) off the result.  When
 the candidates d = -q (mod p) up to q number at most tau(q^2), the tail
 scans them for divisors of q^2; otherwise it builds the divisors of q^2
 up to q from the factorization.  The scan is bounded by tau(q^2) so that
-it is never asymptotically worse than the build.
+it is never asymptotically worse than the build.  When counting, a build
+with no lower bound counts the residues mod p of those divisors instead.
 """
 
 from __future__ import annotations

@@ -236,11 +236,6 @@ def build_rules(convention: str = "standard") -> Tuple[ClosureRule, ...]:
     return tuple(rules)
 
 
-@lru_cache(maxsize=None)
-def rule_index(convention: str = "standard") -> Mapping[str, ClosureRule]:
-    return {rule.key: rule for rule in build_rules(convention)}
-
-
 def family_counts(rules: Sequence[ClosureRule]) -> Tuple[int, ...]:
     counts = [0] * 8
     for rule in rules:

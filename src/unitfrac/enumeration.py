@@ -18,7 +18,8 @@ enumerate_naive, scans every a instead and never reduces the remainder.
 
 count_representations runs the same recursion on ints: its two-term tail
 counts the admissible divisors instead of turning them into pairs, so no
-solution tuple is built.
+solution tuple is built.  Where the build would run with no lower bound on
+a, it counts them by residue class mod p without listing any.
 """
 
 from __future__ import annotations
@@ -135,6 +136,46 @@ def _tail_divisors(prev: int, p: int, q: int) -> List[int]:
     return [d for d in divs if d % p == r and d >= lo]
 
 
+def _tail_count(prev: int, p: int, q: int) -> int:
+    """len(_tail_divisors(prev, p, q)), for _count.
+
+    A tail with no lower bound (lo = 1) that would build its divisors is
+    counted by residue class instead.  d -> q^2/d swaps the divisors of
+    q^2 below q with those above it and keeps the class of -q, because
+    (-q)(-q) = q^2; d = q lies in that class exactly when p | 2q, that is
+    when p <= 2.  So the count is (N + [p <= 2]) / 2 for N = #{d | q^2 :
+    d = -q (mod p)}, and N = tau(q^2) when p <= 2.  Otherwise N is a meet
+    in the middle: the prime powers of q are split into halves A and B of
+    about sqrt(tau) divisors each, and d = d_A * d_B is in the class when
+    d_A = -q * d_B^-1 (mod p); the inverse exists since gcd(p, q) = 1.
+    That is about 2 sqrt(tau) residue products where the build takes
+    (tau + 1) / 2 products and a filter.  Scans and bounded builds are
+    left to _tail_divisors, so an unbounded scan factors q twice.
+    """
+    if p * prev - q > 1:
+        return len(_tail_divisors(prev, p, q))
+    fac = factorize(q)
+    tau = 1
+    for e in fac.values():
+        tau *= 2 * e + 1
+    r = -q % p
+    if (q - 1 - (r - 1) % p) // p < tau:  # _tail_divisors' test at lo = 1
+        return len(_tail_divisors(prev, p, q))
+    if p <= 2:
+        return (tau + 1) // 2
+    left, right = [1], [r]  # residues of d_A, and of -q * d_B^-1
+    for pr, e in fac.items():
+        if len(left) <= len(right):
+            side, x = left, pr % p
+        else:
+            side, x = right, pow(pr, -1, p)
+        side += [d * x ** i % p for i in range(1, 2 * e + 1) for d in side]
+    hits = {}
+    for d in left:
+        hits[d] = hits.get(d, 0) + 1
+    return sum([hits[d] for d in right if d in hits]) // 2
+
+
 def _iter_raw(prev: int, p: int, q: int, j: int) -> Iterator[tuple]:
     if j == 1:
         if q % p == 0 and q // p >= prev:
@@ -209,7 +250,7 @@ def _count(prev: int, p: int, q: int, j: int) -> int:
     if j == 1:
         return 1 if q % p == 0 and q // p >= prev else 0
     if j == 2:
-        return len(_tail_divisors(prev, p, q))
+        return _tail_count(prev, p, q)
     total = 0
     for a in range(max(prev, q // p + 1), (j * q) // p + 1):
         np_, nq = p * a - q, q * a

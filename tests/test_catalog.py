@@ -17,12 +17,15 @@ from unitfrac.catalog import (
     export_rules,
     family_counts,
     inequality_index,
-    rule_index,
 )
 from unitfrac.decomposition import decompose
 from unitfrac.enumeration import enumerate_representations
 from unitfrac.errors import InputError
 from unitfrac.sweep import checker_source
+
+
+def rule_index(convention="standard"):
+    return {rule.key: rule for rule in build_rules(convention)}
 
 
 def test_rule_count_and_family_sizes():

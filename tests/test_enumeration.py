@@ -11,11 +11,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from unitfrac import enumeration
 from unitfrac.enumeration import (
     MAX_TERMS,
     SolutionTuple,
     _iter_raw,
     _iter_scan,
+    _tail_count,
     _tail_divisors,
     count_representations,
     enumerate_naive,
@@ -128,6 +130,67 @@ def test_tail_divisors_match_oracle(query):
     prev, p, q = query
     assume(gcd(p, q) == 1)
     assert sorted(_tail_divisors(prev, p, q)) == _tail_oracle(prev, p, q)
+
+
+# Counting mode.  A tail with no lower bound (lo = 1) that _tail_divisors
+# would build is counted without it: by (tau(q^2) + 1) / 2 when p <= 2,
+# otherwise by residue class over a split of q's prime powers.  Any other
+# tail is the length of _tail_divisors' list.
+_CLOSED_FORM = ((1, 1, 60), (1, 2, 397), (1, 2, 225))
+# 138 = 2*3*23, 385 = 5*7*11, 770, 3600 = 2^4*3^2*5^2 and 10010 put primes
+# in both halves of the split; 256 = 2^8 and 243 = 3^5 leave one empty.
+# (1, 5, 138) has 28 candidates against tau(138^2) = 27: the first that
+# builds.
+_RESIDUE_COUNT = ((1, 5, 138), (1, 3, 385), (1, 13, 385), (1, 3, 770),
+                  (1, 7, 3600), (1, 37, 10010), (1, 3, 256), (1, 5, 243))
+# A bounded build (lo = 15), then scans: (1, 7, 186) has 27 candidates
+# against tau(186^2) = 27, and q = 420 has tau(q^2) = 135, so p = 11 .. 19
+# leave at most 38 candidates.
+_LISTED = ((75, 1, 60), (76, 1, 60), (1, 199, 397), (1, 7, 186),
+           (1, 11, 420), (1, 13, 420), (1, 17, 420), (1, 19, 420))
+
+
+def _with_examples(queries):
+    def add(test):
+        for query in queries:
+            test = example(query)(test)
+        return test
+    return add
+
+
+@settings(deadline=None)
+@given(st.integers(1, 400).flatmap(
+           lambda q: st.tuples(st.integers(1, 2 * q + 3), st.just(q))
+       ).flatmap(
+           lambda pq: st.tuples(st.integers(1, 3 * pq[1] // pq[0] + 2),
+                                st.just(pq[0]), st.just(pq[1]))))
+@_with_examples(((1, 1, 1), (1, 3, 1), (5, 2, 3), *_CLOSED_FORM,
+                 *_RESIDUE_COUNT, *_LISTED))
+def test_tail_count_matches_oracle(query):
+    prev, p, q = query
+    assume(gcd(p, q) == 1)
+    assert _tail_count(prev, p, q) == len(_tail_oracle(prev, p, q))
+
+
+def test_tail_count_examples_take_the_branch_they_name(monkeypatch):
+    listed = []
+    tail = enumeration._tail_divisors
+    monkeypatch.setattr(enumeration, "_tail_divisors",
+                        lambda *query: listed.append(query) or tail(*query))
+    for queries, lists in ((_CLOSED_FORM, False), (_RESIDUE_COUNT, False),
+                           (_LISTED, True)):
+        for query in queries:
+            listed.clear()
+            assert _tail_count(*query) == len(_tail_oracle(*query)), query
+            assert listed == ([query] if lists else []), query
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (3, 7)])
+def test_count_matches_stream_on_long_unbounded_tails(m, n):
+    # f_5 of each settles 649 to 1,093 unbounded tails without listing
+    # them, where the stream lists every divisor
+    assert count_representations(m, n, 5) == sum(
+        1 for _ in _iter_raw(1, m, n, 5))
 
 
 def test_non_reduced_input_equals_reduced():
