@@ -38,7 +38,7 @@ _EXPORTS = {
     "decomposition": """Decomposition VerificationReport decompose pattern_of
         reconstruct relative_gcds verify""",
     "enumeration": """MAX_TERMS EnumerationResult SolutionTuple
-        count_representations enumerate_naive enumerate_representations""",
+        count_representations enumerate_representations""",
     "errors": """InputError IntegralityError InvariantError
         UnclearedDenominatorError UnitfracError""",
     "params": "CONVENTIONS PARAM_ORDER X_PARAMS Z_PARAMS",

@@ -4,13 +4,10 @@ Everything works on Python ints (arbitrary precision).  No floating point
 is used anywhere in this module.
 
 Factorization is plain trial division by 2 and then by odd numbers, which
-is entirely adequate for desk-scale inputs: the enumeration's two-term
-tail factors its denominator q and reads tau(q^2) off the result.  When
-the candidates d = -q (mod p) up to q number at most tau(q^2), the tail
-scans them for divisors of q^2; otherwise it builds the divisors of q^2
-up to q from the factorization.  The scan is bounded by tau(q^2) so that
-it is never asymptotically worse than the build.  When counting, a build
-with no lower bound counts the residues mod p of those divisors instead.
+is entirely adequate for desk-scale inputs.  The enumeration's two-term
+tail factors its denominator q once per tail and takes from that result
+both tau(q^2), which picks the tail's branch, and the prime powers that
+its divisor build or residue count multiplies.
 """
 
 from __future__ import annotations

@@ -13,13 +13,15 @@ a >= previous form a progression of step p.  When it has at most tau(q^2)
 terms (tau counts divisors), it is scanned for divisors of q^2;
 otherwise the divisors up to q are built from the factorization of q and
 filtered.  Both cost O(tau(q^2)), so the scan is never asymptotically
-worse than the build.  An independent oracle for equivalence testing,
-enumerate_naive, scans every a instead and never reduces the remainder.
+worse than the build.  The tests hold an independent oracle that scans
+every a instead and never reduces the remainder.
 
-count_representations runs the same recursion on ints: its two-term tail
-counts the admissible divisors instead of turning them into pairs, so no
-solution tuple is built.  Where the build would run with no lower bound on
-a, it counts them by residue class mod p without listing any.
+count_representations runs the same recursion on ints.  It settles each
+two-term tail in one call from one factorization of q, counting the
+admissible divisors instead of turning them into pairs; an unbounded
+build is counted by residue class mod p without listing any.  A node with
+three or more terms left is counted once per call: a repeat reads its
+count from a dict that lives for that one call.
 """
 
 from __future__ import annotations
@@ -98,32 +100,17 @@ def _check_query(m: int, n: int, k: int) -> Tuple[int, int]:
     return reduce_fraction(m, n)
 
 
-def _tail_divisors(prev: int, p: int, q: int) -> List[int]:
-    # 1/a + 1/b = p/q, prev <= a <= b, via (p*a - q)(p*b - q) = q^2.
-    # d = p*a - q runs over the divisors of q^2 with d <= q, d = -q (mod p)
-    # and d >= p*prev - q (a >= prev); each one gives exactly one pair
-    # (a, b).  The candidates that meet the last three conditions form a
-    # progression of step p.  When it has at most tau(q^2) terms, it is
-    # scanned for divisors of q^2, in ascending order.  Otherwise the
-    # (tau(q^2) + 1) / 2 divisors up to q are built from the factorization
-    # of q and filtered, in no particular order: a product d * pr^i is
-    # formed only when it stays <= q, so each power of pr multiplies only
-    # the survivors of the one below it.  Either branch takes O(tau(q^2))
-    # steps, so the scan is never asymptotically worse than the build.  A
-    # scan step is one remainder; a built divisor costs a product and a
-    # comparison, then a remainder and a comparison in the filter, so the
-    # two break even near tau(q^2) terms.  In interleaved timings of the
-    # count workload that cut-off beat tau/2 + 1, 2*tau and 3*tau.
-    fac = factorize(q)
-    tau = 1
-    for e in fac.values():
-        tau *= 2 * e + 1
-    lo = max(p * prev - q, 1)
-    r = -q % p
-    first = lo + (r - lo) % p
-    if (q - first) // p < tau:
-        qq = q * q
-        return [d for d in range(first, q + 1, p) if qq % d == 0]
+def _scan(first: int, p: int, q: int) -> List[int]:
+    # The divisors of q^2 among first, first + p, ... up to q, ascending.
+    qq = q * q
+    return [d for d in range(first, q + 1, p) if qq % d == 0]
+
+
+def _build(fac: dict, p: int, q: int, r: int, lo: int) -> List[int]:
+    # The divisors d of q^2 with lo <= d <= q and d = r (mod p), built from
+    # the factorization of q and filtered, in no particular order.  A
+    # product d * pr^i is formed only when it stays <= q, so each power of
+    # pr multiplies only the survivors of the one below it.
     divs = [1]
     for pr, e in fac.items():
         lim = q // pr
@@ -136,33 +123,21 @@ def _tail_divisors(prev: int, p: int, q: int) -> List[int]:
     return [d for d in divs if d % p == r and d >= lo]
 
 
-def _tail_count(prev: int, p: int, q: int) -> int:
-    """len(_tail_divisors(prev, p, q)), for _count.
+def _class_count(fac: dict, p: int, r: int) -> int:
+    """len(_build(fac, p, q, r, 1)) for the q that fac factors, with
+    r = -q mod p and p > 2, without listing any divisor.
 
-    A tail with no lower bound (lo = 1) that would build its divisors is
-    counted by residue class instead.  d -> q^2/d swaps the divisors of
-    q^2 below q with those above it and keeps the class of -q, because
-    (-q)(-q) = q^2; d = q lies in that class exactly when p | 2q, that is
-    when p <= 2.  So the count is (N + [p <= 2]) / 2 for N = #{d | q^2 :
-    d = -q (mod p)}, and N = tau(q^2) when p <= 2.  Otherwise N is a meet
-    in the middle: the prime powers of q are split into halves A and B of
-    about sqrt(tau) divisors each, and d = d_A * d_B is in the class when
+    d -> q^2/d swaps the divisors of q^2 below q with those above it and
+    keeps the class of -q, because (-q)(-q) = q^2; d = q lies in that
+    class exactly when p | 2q, that is when p <= 2.  So the count is
+    (N + [p <= 2]) / 2 for N = #{d | q^2 : d = -q (mod p)}, and
+    N = tau(q^2) when p <= 2.  For p > 2, N is a meet in the middle: the
+    prime powers of q are split into halves A and B of about sqrt(tau)
+    divisors each, and d = d_A * d_B is in the class when
     d_A = -q * d_B^-1 (mod p); the inverse exists since gcd(p, q) = 1.
     That is about 2 sqrt(tau) residue products where the build takes
-    (tau + 1) / 2 products and a filter.  Scans and bounded builds are
-    left to _tail_divisors, so an unbounded scan factors q twice.
+    (tau + 1) / 2 products and a filter.
     """
-    if p * prev - q > 1:
-        return len(_tail_divisors(prev, p, q))
-    fac = factorize(q)
-    tau = 1
-    for e in fac.values():
-        tau *= 2 * e + 1
-    r = -q % p
-    if (q - 1 - (r - 1) % p) // p < tau:  # _tail_divisors' test at lo = 1
-        return len(_tail_divisors(prev, p, q))
-    if p <= 2:
-        return (tau + 1) // 2
     left, right = [1], [r]  # residues of d_A, and of -q * d_B^-1
     for pr, e in fac.items():
         if len(left) <= len(right):
@@ -174,6 +149,48 @@ def _tail_count(prev: int, p: int, q: int) -> int:
     for d in left:
         hits[d] = hits.get(d, 0) + 1
     return sum([hits[d] for d in right if d in hits]) // 2
+
+
+def _tail_divisors(prev: int, p: int, q: int) -> List[int]:
+    # 1/a + 1/b = p/q, prev <= a <= b, via (p*a - q)(p*b - q) = q^2.
+    # d = p*a - q runs over the divisors of q^2 with d <= q, d = -q (mod p)
+    # and d >= p*prev - q (a >= prev); each one gives exactly one pair
+    # (a, b).  The candidates that meet the last three conditions form a
+    # progression of step p.  When it has at most tau(q^2) terms, it is
+    # scanned; otherwise the (tau(q^2) + 1) / 2 divisors up to q are built.
+    # Either branch takes O(tau(q^2)) steps, so the scan is never
+    # asymptotically worse than the build.  A scan step is one remainder; a
+    # built divisor costs a product and a comparison, then a remainder and
+    # a comparison in the filter, so the two break even near tau(q^2)
+    # terms.  In interleaved timings of the count workload that cut-off
+    # beat tau/2 + 1, 2*tau and 3*tau.
+    fac = factorize(q)
+    tau = 1
+    for e in fac.values():
+        tau *= 2 * e + 1
+    lo = max(p * prev - q, 1)
+    r = -q % p
+    first = lo + (r - lo) % p
+    if (q - first) // p < tau:
+        return _scan(first, p, q)
+    return _build(fac, p, q, r, lo)
+
+
+def _tail_count(prev: int, p: int, q: int) -> int:
+    """len(_tail_divisors(prev, p, q)) by the same test from one
+    factorization of q; an unbounded build (lo = 1) counts residues."""
+    fac = factorize(q)
+    tau = 1
+    for e in fac.values():
+        tau *= 2 * e + 1
+    lo = max(p * prev - q, 1)
+    r = -q % p
+    first = lo + (r - lo) % p
+    if (q - first) // p < tau:
+        return len(_scan(first, p, q))
+    if lo > 1:
+        return len(_build(fac, p, q, r, lo))
+    return (tau + 1) // 2 if p <= 2 else _class_count(fac, p, r)
 
 
 def _iter_raw(prev: int, p: int, q: int, j: int) -> Iterator[tuple]:
@@ -192,25 +209,6 @@ def _iter_raw(prev: int, p: int, q: int, j: int) -> Iterator[tuple]:
         g = gcd(np_, nq)
         for tail in _iter_raw(a, np_ // g, nq // g, j - 1):
             yield (a,) + tail
-
-
-def _iter_scan(prev: int, num: int, den: int, j: int) -> Iterator[tuple]:
-    # The oracle for _iter_raw: num/den is never reduced, and every a with
-    # 1/a < num/den <= j/a is tried, the last two denominators included.
-    lo = max(prev, den // num + 1)
-    hi = j * den // num
-    if j == 1:
-        if den % num == 0 and den // num >= prev:
-            yield (den // num,)
-    elif j == 2:
-        for a in range(lo, hi + 1):
-            r_num, r_den = num * a - den, den * a
-            if r_den % r_num == 0 and r_den // r_num >= a:
-                yield (a, r_den // r_num)
-    else:
-        for a in range(lo, hi + 1):
-            for tail in _iter_scan(a, num * a - den, den * a, j - 1):
-                yield (a,) + tail
 
 
 def _collect(m: int, n: int, k: int, cap, walk) -> EnumerationResult:
@@ -238,28 +236,31 @@ def enumerate_representations(m: int, n: int, k: int, cap: int | None = None) ->
     return _collect(m, n, k, cap, _iter_raw)
 
 
-def enumerate_naive(m: int, n: int, k: int, cap: int | None = None) -> EnumerationResult:
-    """Oracle: the same result from a plain integer scan that never reduces
-    the remainder and tries every candidate for the last two denominators."""
-    return _collect(m, n, k, cap, _iter_scan)
-
-
-def _count(prev: int, p: int, q: int, j: int) -> int:
+def _count(prev: int, p: int, q: int, j: int, memo: dict) -> int:
     # _iter_raw, returning how many tuples it would yield instead of
-    # yielding them
+    # yielding them.  The count of a node with j >= 3 depends only on j,
+    # p, q and its first a, so memo keeps it under that key.
     if j == 1:
         return 1 if q % p == 0 and q // p >= prev else 0
     if j == 2:
         return _tail_count(prev, p, q)
+    start = max(prev, q // p + 1)
+    key = (j, p, q, start)
+    if key in memo:
+        return memo[key]
     total = 0
-    for a in range(max(prev, q // p + 1), (j * q) // p + 1):
+    for a in range(start, (j * q) // p + 1):
         np_, nq = p * a - q, q * a
         g = gcd(np_, nq)
-        total += _count(a, np_ // g, nq // g, j - 1)
+        if j == 3:
+            total += _tail_count(a, np_ // g, nq // g)
+        else:
+            total += _count(a, np_ // g, nq // g, j - 1, memo)
+    memo[key] = total
     return total
 
 
 def count_representations(m: int, n: int, k: int) -> int:
     """Number of representations, counted without building any tuple."""
     p, q = _check_query(m, n, k)
-    return _count(1, p, q, k) if k else 0
+    return _count(1, p, q, k, {}) if k else 0

@@ -17,9 +17,11 @@ from unitfrac.asymptotics import breakpoint_alphas, regime_table, sylvester
 from unitfrac.boundsearch import replay_witness, search, witness_to_json
 from unitfrac.catalog import build_rules, family_counts
 from unitfrac.closure import closure, is_defining
-from unitfrac.enumeration import _iter_scan, count_representations
+from unitfrac.enumeration import count_representations
 from unitfrac.params import PARAM_ORDER, X_PARAMS
 from unitfrac.sweep import sweep_soundness
+
+from oracles import _iter_scan
 
 CORE_SETS = (
     {"z23", "z234"},

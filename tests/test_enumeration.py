@@ -16,14 +16,14 @@ from unitfrac.enumeration import (
     MAX_TERMS,
     SolutionTuple,
     _iter_raw,
-    _iter_scan,
     _tail_count,
     _tail_divisors,
     count_representations,
-    enumerate_naive,
     enumerate_representations,
 )
 from unitfrac.errors import InputError
+
+from oracles import _iter_scan, enumerate_naive
 
 
 def test_known_counts():
@@ -135,7 +135,8 @@ def test_tail_divisors_match_oracle(query):
 # Counting mode.  A tail with no lower bound (lo = 1) that _tail_divisors
 # would build is counted without it: by (tau(q^2) + 1) / 2 when p <= 2,
 # otherwise by residue class over a split of q's prime powers.  Any other
-# tail is the length of _tail_divisors' list.
+# tail counts the list of _tail_divisors' branch: the scan or the bounded
+# build.
 _CLOSED_FORM = ((1, 1, 60), (1, 2, 397), (1, 2, 225))
 # 138 = 2*3*23, 385 = 5*7*11, 770, 3600 = 2^4*3^2*5^2 and 10010 put primes
 # in both halves of the split; 256 = 2^8 and 243 = 3^5 leave one empty.
@@ -143,11 +144,15 @@ _CLOSED_FORM = ((1, 1, 60), (1, 2, 397), (1, 2, 225))
 # builds.
 _RESIDUE_COUNT = ((1, 5, 138), (1, 3, 385), (1, 13, 385), (1, 3, 770),
                   (1, 7, 3600), (1, 37, 10010), (1, 3, 256), (1, 5, 243))
-# A bounded build (lo = 15), then scans: (1, 7, 186) has 27 candidates
-# against tau(186^2) = 27, and q = 420 has tau(q^2) = 135, so p = 11 .. 19
-# leave at most 38 candidates.
-_LISTED = ((75, 1, 60), (76, 1, 60), (1, 199, 397), (1, 7, 186),
-           (1, 11, 420), (1, 13, 420), (1, 17, 420), (1, 19, 420))
+# Bounded builds: lo = 15 with 46 candidates against tau(60^2) = 45, and
+# lo = 5 with 514 candidates against tau(3600^2) = 225.
+_BOUNDED_BUILD = ((75, 1, 60), (515, 7, 3600))
+# Scans: (76, 1, 60) has 45 candidates, (1, 7, 186) has 27 against
+# tau(186^2) = 27, and q = 420 has tau(q^2) = 135, so p = 11 .. 19 leave
+# at most 38 candidates.
+_SCAN = ((76, 1, 60), (1, 199, 397), (1, 7, 186), (1, 11, 420),
+         (1, 13, 420), (1, 17, 420), (1, 19, 420))
+_LISTED = _BOUNDED_BUILD + _SCAN
 
 
 def _with_examples(queries):
@@ -172,17 +177,50 @@ def test_tail_count_matches_oracle(query):
     assert _tail_count(prev, p, q) == len(_tail_oracle(prev, p, q))
 
 
+def _spy(monkeypatch, calls, *names):
+    # record the name of each call to the named functions of enumeration
+    for name in names:
+        inner = getattr(enumeration, name)
+        monkeypatch.setattr(
+            enumeration, name,
+            lambda *args, name=name, inner=inner: calls.append(name)
+            or inner(*args))
+
+
 def test_tail_count_examples_take_the_branch_they_name(monkeypatch):
-    listed = []
-    tail = enumeration._tail_divisors
-    monkeypatch.setattr(enumeration, "_tail_divisors",
-                        lambda *query: listed.append(query) or tail(*query))
-    for queries, lists in ((_CLOSED_FORM, False), (_RESIDUE_COUNT, False),
-                           (_LISTED, True)):
+    # Each branch but the closed form calls its own helper: _scan and
+    # _build, which _tail_divisors shares, and _class_count.  The closed
+    # form calls none of them, and every tail factors q once.
+    calls = []
+    _spy(monkeypatch, calls, "factorize", "_scan", "_build", "_class_count")
+    for queries, branch in ((_CLOSED_FORM, []),
+                            (_RESIDUE_COUNT, ["_class_count"]),
+                            (_SCAN, ["_scan"]),
+                            (_BOUNDED_BUILD, ["_build"])):
         for query in queries:
-            listed.clear()
+            calls.clear()
             assert _tail_count(*query) == len(_tail_oracle(*query)), query
-            assert listed == ([query] if lists else []), query
+            assert calls == ["factorize"] + branch, query
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 1, 6), (1, 2, 5), (2, 3, 5)])
+def test_count_matches_stream_where_the_memo_hits(monkeypatch, m, n, k):
+    # the stream settles every two-term tail it meets; the count settles
+    # fewer, because it meets some nodes again and reads their counts
+    calls = []
+    _spy(monkeypatch, calls, "_tail_divisors", "_tail_count")
+    assert count_representations(m, n, k) == sum(
+        1 for _ in _iter_raw(1, m, n, k))
+    assert 0 < calls.count("_tail_count") < calls.count("_tail_divisors")
+
+
+def test_count_memo_lives_for_one_call(monkeypatch):
+    calls = []
+    _spy(monkeypatch, calls, "_tail_count")
+    first = count_representations(1, 1, 6)
+    tails = len(calls)
+    assert count_representations(1, 1, 6) == first == 3462
+    assert len(calls) == 2 * tails > 0
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (3, 7)])
